@@ -11,8 +11,8 @@ from .rectangles import (Cover, CoverResult, EnumerationResult, Rectangle,
                          check_monochromatic, cover_number,
                          enumerate_maximal_mono, fooling_set_bound,
                          max_mono_rectangle, validate_cover)
-from .entropy import (ConditioningContext, ExtractionCertificate, FiniteDist,
-                      cond_entropy, entropy, extract_rectangle)
+from .entropy import (ExtractionCertificate, FiniteDist, cond_entropy, entropy,
+                      extract_rectangle)
 from .protocol import (ALICE, BOB, CCResult, Leaf, Node, ProtocolTree,
                        balance, evaluate, exact_cc, tree_from_obj,
                        tree_to_obj, verify)

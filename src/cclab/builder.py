@@ -170,7 +170,7 @@ def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                 f"{e}; use strategy '{DIRECT_MAX}' for submatrices whose "
                 f"lift exceeds the cap") from None
         big = max_mono_rectangle(lift.lifted)
-        rect, _, _ = extract_rectangle(lift, big)
+        rect, _ = extract_rectangle(lift, big)
     else:
         rect = max_mono_rectangle(f)
     check = None

@@ -186,7 +186,7 @@ def _cmd_extract(args) -> int:
                     raise ValueError(
                         f"rectangle is not monochromatic: cell ({x}, {y}) "
                         f"breaks the color of ({rect.row_set[0]}, {rect.col_set[0]})")
-    t, ctx, cert = extract_rectangle(lift, rect)
+    t, cert = extract_rectangle(lift, rect)
     record = cert.as_record()
     record["T_rows"] = list(t.row_set)
     record["T_cols"] = list(t.col_set)

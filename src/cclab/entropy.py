@@ -126,23 +126,14 @@ def _argmax_tied_lex(items):
 
 
 @dataclass(frozen=True)
-class ConditioningContext:
-    """The tuple fixed during extraction: coordinate i (1-based), the
-    fixed x-prefix and y-suffix, and the parity bits u, v."""
-
-    i: int
-    x_prefix: tuple
-    y_suffix: tuple
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
 class ExtractionCertificate:
     """Exact record of one extraction, re-verified with big integers.
 
-    size_check is the integer form (4|T|)**n >= |R| of the guarantee
-    |T| >= 2**(k/n - 2) with k = log2 |R|.
+    i, x_prefix, y_suffix, u and v are the tuple fixed during
+    extraction: coordinate i (1-based), the fixed x-prefix and y-suffix,
+    and the parity bits u, v.  size_check is the integer form
+    (4|T|)**n >= |R| of the guarantee |T| >= 2**(k/n - 2) with
+    k = log2 |R|.
     """
 
     i: int
@@ -205,10 +196,10 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
     """From a monochromatic rectangle R of lift.lifted, extract a
     monochromatic rectangle T of the base function.
 
-    Returns (T, ConditioningContext, ExtractionCertificate).  The
-    certificate's size check (4|T|)**n >= |R| and T's monochromaticity
-    are verified exactly before returning; a failure there raises
-    InvariantError and is itself a bug.
+    Returns (T, ExtractionCertificate).  The certificate's size check
+    (4|T|)**n >= |R| and T's monochromaticity are verified exactly
+    before returning; a failure there raises InvariantError and is
+    itself a bug.
     """
     color = check_monochromatic(lift.lifted, R)
     if color is None:
@@ -217,14 +208,13 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
     base = lift.base
 
     if n == 1:
-        ctx = ConditioningContext(i=1, x_prefix=(), y_suffix=(), u=0, v=0)
         cert = ExtractionCertificate(
             i=1, x_prefix=(), y_suffix=(), u=0, v=0,
             r_size=R.area, t_size=R.area, color=color, n=1, size_check=True,
             coordinate_entropies=(math.log2(R.area),),
             stage2_entropy=math.log2(R.area),
             stage3_entropy=math.log2(R.area))
-        return Rectangle(R.row_set, R.col_set, color=color), ctx, cert
+        return Rectangle(R.row_set, R.col_set, color=color), cert
 
     xs = [lift.row_codec.decode(r) for r in R.row_set]
     ys = [lift.col_codec.decode(c) for c in R.col_set]
@@ -289,12 +279,10 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
         raise InvariantError(
             f"size certificate failed: (4*{t_size})^{n} < {R.area}")
 
-    ctx = ConditioningContext(i=i_star + 1, x_prefix=p_star, y_suffix=s_star,
-                              u=u_star, v=v_star)
     cert = ExtractionCertificate(
         i=i_star + 1, x_prefix=p_star, y_suffix=s_star, u=u_star, v=v_star,
         r_size=R.area, t_size=t_size, color=t_color, n=n,
         size_check=size_check,
         coordinate_entropies=tuple(coord_h),
         stage2_entropy=stage2, stage3_entropy=stage3)
-    return T, ctx, cert
+    return T, cert

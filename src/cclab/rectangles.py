@@ -1,12 +1,13 @@
 """Monochromatic rectangle machinery.
 
 Rectangles are product sets (row subset) x (col subset) on which the
-sign matrix is constant.  This module checks monochromaticity,
-enumerates all maximal monochromatic rectangles (a Galois/closure
-enumeration over columns), finds a maximum-area one by branch and
-bound, and computes the cover number C(f) exactly (branch-and-bound
-set cover over maximal rectangles, greedy incumbent, fooling-set lower
-bound) or greedily.
+sign matrix is constant.  This module checks monochromaticity and
+computes the cover number C(f) exactly (branch-and-bound set cover over
+maximal rectangles, greedy incumbent, fooling-set lower bound) or
+greedily.  One Close-by-One search over the columns (Kuznetsov 1993)
+finds the closed (maximal) monochromatic rectangles: it enumerates
+them all, and with an area bound it finds a maximum-area one, since
+every maximum-area rectangle is closed.
 
 Determinism: every search breaks ties lexicographically, results are
 identical across runs for the same inputs and limits.  Subsets are
@@ -25,7 +26,6 @@ from .limits import BudgetExceeded, Meter, SearchLimits
 from .matrix import BoolFun
 
 EXACT = "exact"
-UPPER_BOUND = "upper_bound"
 BOUNDS = "bounds"
 INCONCLUSIVE = "inconclusive"
 
@@ -43,6 +43,8 @@ class Rectangle:
         cols = tuple(sorted(set(int(c) for c in self.col_set)))
         if not rows or not cols:
             raise ValueError("rectangle sides must be non-empty")
+        if rows[0] < 0 or cols[0] < 0:
+            raise ValueError("rectangle indices must be non-negative")
         if self.color not in (None, 1, -1):
             raise ValueError("color must be +1, -1 or None")
         object.__setattr__(self, "row_set", rows)
@@ -61,7 +63,6 @@ class Cover:
     """A set of colored rectangles jointly covering every cell."""
 
     rects: tuple
-    exactness: str  # EXACT | UPPER_BOUND
 
     @property
     def size(self) -> int:
@@ -95,7 +96,8 @@ class CoverResult:
 
 def check_monochromatic(f: BoolFun, r: Rectangle) -> int | None:
     """The constant sign of f on r, or None if f is not constant there."""
-    if r.row_set[-1] >= f.rows or r.col_set[-1] >= f.cols:
+    if (r.row_set[0] < 0 or r.col_set[0] < 0
+            or r.row_set[-1] >= f.rows or r.col_set[-1] >= f.cols):
         raise ValueError("rectangle indices out of range")
     sub = f.sign[np.ix_(r.row_set, r.col_set)]
     v = int(sub[0, 0])
@@ -113,48 +115,68 @@ def _mask_to_tuple(mask: int) -> tuple:
 
 def _col_row_masks(sign, color: int):
     """For each column, the bitmask of rows matching ``color``."""
-    nr, nc = sign.shape
-    eq = (sign == color)
-    masks = []
-    for y in range(nc):
-        m = 0
-        for x in range(nr):
-            if eq[x, y]:
-                m |= 1 << x
-        masks.append(m)
-    return masks
+    eq = sign == color
+    return [sum(1 << int(x) for x in np.flatnonzero(eq[:, y]))
+            for y in range(sign.shape[1])]
 
 
-def _concepts(sign, color: int):
-    """Yield (row_mask, col_mask) for every maximal monochromatic
-    rectangle of the given color, via Close-by-One over columns."""
-    nr, nc = sign.shape
+def _closure(col_rows, a: int, cols, first: int = 0):
+    """Close the row mask ``a`` over the ascending columns ``cols``: the
+    mask of those whose rows contain ``a`` and the list of the others
+    that meet it, or None once a column before ``first`` contains ``a``."""
+    b = 0
+    rest = []
+    for z in cols:
+        m = col_rows[z] & a
+        if m == a:
+            if z < first:
+                return None
+            b |= 1 << z
+        elif m:
+            rest.append(z)
+    return b, rest
+
+
+def _close_by_one(sign, color: int, visit, skip=None) -> bool:
+    """Close-by-One (Kuznetsov 1993) over the columns of one color.
+
+    Calls ``visit(a, b)`` on every closed rectangle (row mask a, column
+    mask b) in depth-first order, children by ascending column; a true
+    return stops the search and makes this return True.  The child of
+    (a, b) on column y, with rows a2 = a & rows(y), is skipped before
+    its closure when ``skip(a2, width)`` holds: every rectangle below it
+    has rows within a2 and at most width = |b| + #{z >= y outside b
+    meeting a} columns.
+    """
     col_rows = _col_row_masks(sign, color)
-    full_rows = (1 << nr) - 1
 
-    def cols_of(amask):
-        out = 0
-        for y in range(nc):
-            if col_rows[y] & amask == amask:
-                out |= 1 << y
-        return out
-
-    def cbo(a, b, y_start):
-        if a and b:
-            yield a, b
-        for y in range(y_start, nc):
-            if b >> y & 1:
+    def rec(a, b, cand, start):
+        # cand: the ascending columns outside b that meet a.
+        if b and visit(a, b):
+            return True
+        width = b.bit_count() + len(cand)
+        for i, y in enumerate(cand):
+            if y < start:
                 continue
             a2 = a & col_rows[y]
-            if a2 == 0:
+            if skip is not None and skip(a2, width - i):
                 continue
-            b2 = cols_of(a2)
-            if (b2 & ~b) & ((1 << y) - 1):
+            closed = _closure(col_rows, a2, cand, y)
+            if closed is None:  # not canonical: reached on a smaller column
                 continue
-            yield from cbo(a2, b2, y + 1)
+            if rec(a2, b | closed[0], closed[1], y + 1):
+                return True
+        return False
 
-    a0 = full_rows
-    yield from cbo(a0, cols_of(a0), 0)
+    a0 = (1 << sign.shape[0]) - 1
+    b0, cand0 = _closure(col_rows, a0, range(sign.shape[1]))
+    return rec(a0, b0, cand0, 0)
+
+
+def _mask_lt(p: int, q: int) -> bool:
+    """Whether the sorted index tuple of mask p sorts before that of q."""
+    low = (p ^ q) & -(p ^ q)  # the smallest index in exactly one of them
+    return q >= low if p & low else p < low
 
 
 def enumerate_maximal_mono(f: BoolFun, budget: int = 200_000) -> EnumerationResult:
@@ -164,14 +186,15 @@ def enumerate_maximal_mono(f: BoolFun, budget: int = 200_000) -> EnumerationResu
     if budget < 1:
         raise ValueError("budget must be positive")
     found = []
-    truncated = False
     for color in (1, -1):
-        for a, b in _concepts(f.sign, color):
+        def collect(a, b):
             if len(found) >= budget:
-                truncated = True
-                break
+                return True
             found.append(Rectangle(_mask_to_tuple(a), _mask_to_tuple(b),
                                    color=color))
+            return False
+
+        truncated = _close_by_one(f.sign, color, collect)
         if truncated:
             break
     found.sort(key=Rectangle.key)
@@ -182,48 +205,28 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
     """A maximum-area monochromatic rectangle, ties broken
     lexicographically by (row_set, col_set).
 
-    Branch and bound over subsets of the shorter side, keeping for each
-    partial subset the full set of compatible indices on the other side.
+    A maximum-area rectangle is closed, so this is the Close-by-One
+    search, skipping a subtree whose rows times width bound is strictly
+    below the best area so far: tied rectangles are still visited.
     """
-    transposed = f.rows > f.cols
-    sign = f.sign.T if transposed else f.sign
-    n_side, n_other = sign.shape
-    best: list = [0, None, None]  # area, key, color
+    best = [0, 0, 0, None]  # area, row mask, col mask, color
+
+    def skip(a2, width):
+        return a2.bit_count() * width < best[0]
 
     for color in (1, -1):
-        side_other = _col_row_masks(sign.T, color)  # per side index: mask of other
-        full_other = (1 << n_other) - 1
+        def keep_best(a, b):
+            area = a.bit_count() * b.bit_count()
+            if area > best[0] or area == best[0] and (
+                    _mask_lt(a, best[1])
+                    or a == best[1] and _mask_lt(b, best[2])):
+                best[:] = area, a, b, color
+            return False
 
-        def consider(chosen_mask, other_mask, n_chosen, n_other_set):
-            area = n_chosen * n_other_set
-            if area < best[0]:
-                return
-            srows = _mask_to_tuple(chosen_mask)
-            srest = _mask_to_tuple(other_mask)
-            key = (srest, srows) if transposed else (srows, srest)
-            if area > best[0] or key < best[1]:
-                best[0], best[1], best[2] = area, key, color
+        _close_by_one(f.sign, color, keep_best, skip)
 
-        def dfs(i, chosen_mask, other_mask, n_chosen):
-            if n_chosen:
-                consider(chosen_mask, other_mask, n_chosen,
-                         other_mask.bit_count())
-            rem = 0
-            for j in range(i, n_side):
-                if side_other[j] & other_mask:
-                    rem += 1
-            if (n_chosen + rem) * other_mask.bit_count() < best[0]:
-                return
-            for j in range(i, n_side):
-                m2 = other_mask & side_other[j]
-                if m2 == 0:
-                    continue
-                dfs(j + 1, chosen_mask | (1 << j), m2, n_chosen + 1)
-
-        dfs(0, 0, full_other, 0)
-
-    rows, cols = best[1]
-    return Rectangle(rows, cols, color=best[2])
+    return Rectangle(_mask_to_tuple(best[1]), _mask_to_tuple(best[2]),
+                     color=best[3])
 
 
 def fooling_set_cells(f: BoolFun) -> tuple:
@@ -270,17 +273,6 @@ def _cells_mask(n_cols: int, r: Rectangle) -> int:
     return m
 
 
-def _closure_at(f: BoolFun, x: int, y: int) -> Rectangle:
-    """The maximal monochromatic rectangle obtained by closing {x} x {y}."""
-    v = int(f.sign[x, y])
-    cols = [yy for yy in range(f.cols) if f.sign[x, yy] == v]
-    rows = [xx for xx in range(f.rows)
-            if all(f.sign[xx, yy] == v for yy in cols)]
-    cols = [yy for yy in range(f.cols)
-            if all(f.sign[xx, yy] == v for xx in rows)]
-    return Rectangle(tuple(rows), tuple(cols), color=v)
-
-
 def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
     """Greedy cover: (indices into rects, extra closure rectangles).
 
@@ -299,8 +291,13 @@ def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
                 best_cov = cov
                 best_idx = idx
         if best_idx < 0:
-            cell = (uncovered & -uncovered).bit_length() - 1
-            rect = _closure_at(f, cell // f.cols, cell % f.cols)
+            # Close cell (x, y) over the columns where row x has its color.
+            x, y = divmod((uncovered & -uncovered).bit_length() - 1, f.cols)
+            color = int(f.sign[x, y])
+            row_cols = _col_row_masks(f.sign.T, color)
+            rows, _ = _closure(row_cols, row_cols[x], range(f.rows))
+            rect = Rectangle(_mask_to_tuple(rows), _mask_to_tuple(row_cols[x]),
+                             color=color)
             extra.append(rect)
             uncovered &= ~_cells_mask(f.cols, rect)
         else:
@@ -334,7 +331,7 @@ def cover_number(f: BoolFun, mode: str = EXACT,
 
     greedy_idx, extra = _greedy_cover(f, rects, cell_masks)
     greedy_rects = tuple(rects[i] for i in greedy_idx) + tuple(extra)
-    greedy_cover = Cover(rects=greedy_rects, exactness=UPPER_BOUND)
+    greedy_cover = Cover(rects=greedy_rects)
     if not validate_cover(f, greedy_cover):
         raise AssertionError("greedy cover failed re-validation")
 
@@ -369,8 +366,7 @@ def cover_number(f: BoolFun, mode: str = EXACT,
         lower_total += len(sel) if done else max(1, fool_c.bit_count())
         exact_done = exact_done and done
 
-    final = Cover(rects=tuple(rects[i] for i in sorted(chosen_all)),
-                  exactness=EXACT if exact_done else UPPER_BOUND)
+    final = Cover(rects=tuple(rects[i] for i in sorted(chosen_all)))
     if not validate_cover(f, final):
         raise AssertionError("cover failed re-validation")
 
@@ -513,7 +509,7 @@ def parse_cover(text: str) -> Cover:
     rects = tuple(parse_rect(b) for b in blocks)
     if len(rects) != count:
         raise ParseError(f"count line says {count}, found {len(rects)} blocks", 1)
-    return Cover(rects=rects, exactness=UPPER_BOUND)
+    return Cover(rects=rects)
 
 
 def format_cover(cover: Cover) -> str:

@@ -50,7 +50,7 @@ def extraction_runs():
             enum = enumerate_maximal_mono(lift.lifted)
             assert not enum.truncated
             for r in enum.rects:
-                t, _, cert = extract_rectangle(lift, r)
+                t, cert = extract_rectangle(lift, r)
                 runs.append((f, n, r, t, cert))
     return runs
 

@@ -145,6 +145,18 @@ def test_extract_rejects_non_monochromatic(tmp_path, capsys):
     assert "cell (" in capsys.readouterr().err
 
 
+def test_extract_rejects_negative_index(tmp_path, capsys):
+    rect = tmp_path / "neg.rect"
+    rect.write_text("-1\n2\n")
+    code = run(["extract", "--family", "eq", "--m", "3", "--n", "1",
+                "--rect", str(rect)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 # ----------------------------------------------------------- build chain
 
 def test_build_balance_verify_pipeline(tmp_path, capsys):

@@ -76,10 +76,10 @@ def test_extract_n1_returns_rectangle_unchanged():
     f = make_family("eq", 3)
     lift = xor_power(f, 1)
     r = Rectangle((0, 1), (2,))
-    t, ctx, cert = extract_rectangle(lift, r)
+    t, cert = extract_rectangle(lift, r)
     assert t.row_set == r.row_set and t.col_set == r.col_set
     assert t.color == 1
-    assert ctx.i == 1 and ctx.x_prefix == () and ctx.u == ctx.v == 0
+    assert cert.i == 1 and cert.x_prefix == () and cert.u == cert.v == 0
     assert cert.holds and cert.t_size == cert.r_size
 
 
@@ -88,7 +88,7 @@ def test_extract_guarantee_k6_n2():
     f = make_family("const", 8, const_value=0)
     lift = xor_power(f, 2)
     r = Rectangle(range(8), range(8))
-    t, _, cert = extract_rectangle(lift, r)
+    t, cert = extract_rectangle(lift, r)
     assert cert.r_size == 64
     assert cert.t_size >= 2
     assert (4 * cert.t_size) ** 2 >= 64
@@ -106,7 +106,7 @@ def test_extract_eq2_exhaustive_over_maximal_rects():
     rects = enumerate_maximal_mono(lift.lifted).rects
     assert rects
     for r in rects:
-        t, ctx, cert = extract_rectangle(lift, r)
+        t, cert = extract_rectangle(lift, r)
         assert check_monochromatic(f, t) == t.color
         assert (4 * cert.t_size) ** 2 >= r.area
         assert cert.holds
@@ -115,7 +115,7 @@ def test_extract_eq2_exhaustive_over_maximal_rects():
 def _exhaustive_extract_checks(f, n):
     lift = xor_power(f, n)
     for r in enumerate_maximal_mono(lift.lifted).rects:
-        t, ctx, cert = extract_rectangle(lift, r)
+        t, cert = extract_rectangle(lift, r)
         # monochromatic in the base, exact integer size certificate
         assert check_monochromatic(f, t) == t.color
         assert (4 * cert.t_size) ** n >= cert.r_size
@@ -127,32 +127,32 @@ def _exhaustive_extract_checks(f, n):
         k = math.log2(r.area)
         assert cert.coordinate_entropies[cert.i - 1] >= k / n - TOL
         # product support: every pair of T is realized by a surviving point
-        _check_product_support(f, lift, r, t, ctx)
+        _check_product_support(f, lift, r, t, cert)
 
 
-def _check_product_support(f, lift, r, t, ctx):
+def _check_product_support(f, lift, r, t, cert):
     if lift.n == 1:
         return
-    i = ctx.i - 1
+    i = cert.i - 1
     xs = [lift.row_codec.decode(v) for v in r.row_set]
     ys = [lift.col_codec.decode(v) for v in r.col_set]
     x_ok = set()
     for xt in xs:
-        if xt[:i] != ctx.x_prefix:
+        if xt[:i] != cert.x_prefix:
             continue
         v = 0
         for j in range(i + 1, lift.n):
-            v ^= f.f_value(xt[j], ctx.y_suffix[j - i - 1])
-        if v == ctx.v:
+            v ^= f.f_value(xt[j], cert.y_suffix[j - i - 1])
+        if v == cert.v:
             x_ok.add(xt[i])
     y_ok = set()
     for yt in ys:
-        if yt[i + 1:] != ctx.y_suffix:
+        if yt[i + 1:] != cert.y_suffix:
             continue
         u = 0
         for j in range(i):
-            u ^= f.f_value(ctx.x_prefix[j], yt[j])
-        if u == ctx.u:
+            u ^= f.f_value(cert.x_prefix[j], yt[j])
+        if u == cert.u:
             y_ok.add(yt[i])
     assert set(t.row_set) == x_ok
     assert set(t.col_set) == y_ok
