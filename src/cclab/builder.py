@@ -9,7 +9,8 @@ single-cell submatrices, and rank < 5 via the distinct-row protocol
 (at most 16 row classes, hence at most 32 leaves).
 
 Rows and columns are deduplicated once at the top, which caps the cell
-count at 2**(2*rank) and makes the shrink-step budget checkable.  The
+count at 2**(2*rank) and makes the shrink-step budget checkable; that
+and the low-rank base case's row grouping use ``matrix.classes``.  The
 trace records every step; rank_steps/shrink_steps are maxima over
 root-to-leaf recursion paths, matching the budgets
 ceil(log_{5/4} rank) + 1 and ceil(8 * rank * C**(1/n)).
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, InvariantError
 from .limits import SearchLimits
-from .matrix import BoolFun, rank, restrict, xor_power
+from .matrix import BoolFun, classes, rank, restrict, xor_power
 from .protocol import (ALICE, BOB, CCResult, Leaf, Node, ProtocolTree,
                        balance, exact_cc, verify)
 from .rectangles import (EXACT, CoverResult, Rectangle, check_monochromatic,
@@ -205,31 +206,6 @@ def choose_split(f: BoolFun, R: Rectangle) -> SplitDecision:
                          rank_col_block=rank_col, chosen_bound=bound)
 
 
-def _dedup_classes(f: BoolFun):
-    """Row and column classes by content, ordered by first occurrence.
-
-    Returns (row_classes, col_classes): lists of index lists into f.
-    """
-    row_classes, seen = [], {}
-    for x in range(f.rows):
-        key = f.sign[x].tobytes()
-        if key in seen:
-            row_classes[seen[key]].append(x)
-        else:
-            seen[key] = len(row_classes)
-            row_classes.append([x])
-    reps = [cls[0] for cls in row_classes]
-    col_classes, seen = [], {}
-    for y in range(f.cols):
-        key = f.sign[np.ix_(reps, [y])].tobytes()
-        if key in seen:
-            col_classes[seen[key]].append(y)
-        else:
-            seen[key] = len(col_classes)
-            col_classes.append([y])
-    return row_classes, col_classes
-
-
 def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                    cover_value: int | None = None):
     """Build a protocol tree for f along the rank-splitting recursion.
@@ -240,7 +216,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    row_classes, col_classes = _dedup_classes(f)
+    row_classes, col_classes = classes(f)
     reps_r = [cls[0] for cls in row_classes]
     reps_c = [cls[0] for cls in col_classes]
     fd = BoolFun(f.sign[np.ix_(reps_r, reps_c)], label=f.label)
@@ -259,14 +235,8 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             maxima["base"] = kind
 
     def low_rank_tree(cur_rows, cur_cols):
-        groups, seen = [], {}
-        for x in cur_rows:
-            key = tuple(int(fd.sign[x, y]) for y in cur_cols)
-            if key in seen:
-                groups[seen[key]][1].append(x)
-            else:
-                seen[key] = len(groups)
-                groups.append((x, [x]))
+        groups = classes(fd, sum(1 << x for x in cur_rows),
+                         sum(1 << y for y in cur_cols))[0]
         if len(groups) > 16:
             raise InvariantError("low-rank base case with > 16 row classes")
 
@@ -282,7 +252,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             if hi - lo == 1:
                 return value_leaf(groups[lo][0])
             mid = (lo + hi) // 2
-            first = frozenset(x for _, mem in groups[lo:mid] for x in mem)
+            first = frozenset(x for mem in groups[lo:mid] for x in mem)
             return Node(ALICE, first, enc(mid, hi), enc(lo, mid))
 
         return enc(0, len(groups))

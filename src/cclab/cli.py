@@ -24,9 +24,9 @@ from .errors import CapacityError, InvariantError, ParseError, StructureError
 from .limits import SearchLimits
 from .matrix import (BoolFun, distinct_col_count, distinct_row_count,
                      format_bfn, make_family, rank, read_bfn, xor_power)
-from .protocol import (balance, evaluate, exact_cc, tree_from_obj,
-                       tree_to_obj, verify)
-from .rectangles import EXACT, check_monochromatic, cover_number, read_rect
+from .protocol import (balance, evaluate, exact_cc, first_mismatch,
+                       tree_from_obj, tree_to_obj, verify)
+from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
 
 MEASURE_COLUMNS = ("name", "rows", "cols", "rank", "distinct_rows",
@@ -178,14 +178,6 @@ def _cmd_extract(args) -> int:
     f = _load_input(args)
     rect = read_rect(args.rect)
     lift = xor_power(f, args.n)
-    if check_monochromatic(lift.lifted, rect) is None:
-        v0 = int(lift.lifted.sign[rect.row_set[0], rect.col_set[0]])
-        for x in rect.row_set:
-            for y in rect.col_set:
-                if lift.lifted.sign[x, y] != v0:
-                    raise ValueError(
-                        f"rectangle is not monochromatic: cell ({x}, {y}) "
-                        f"breaks the color of ({rect.row_set[0]}, {rect.col_set[0]})")
     t, cert = extract_rectangle(lift, rect)
     record = cert.as_record()
     record["T_rows"] = list(t.row_set)
@@ -255,14 +247,13 @@ def _cmd_verify(args) -> int:
     f = read_bfn(args.matrix)
     if tree.n_rows != f.rows or tree.n_cols != f.cols:
         raise ValueError("tree and matrix dimensions differ")
-    for x in range(f.rows):
-        for y in range(f.cols):
-            got = evaluate(tree, x, y)[0]
-            if got != f.f_value(x, y):
-                sys.stderr.write(
-                    f"mismatch at ({x}, {y}): protocol {got}, function "
-                    f"{f.f_value(x, y)}\n")
-                return 1
+    cell = first_mismatch(tree, f)
+    if cell is not None:
+        x, y = cell
+        sys.stderr.write(f"mismatch at ({x}, {y}): protocol "
+                         f"{evaluate(tree, x, y)[0]}, function "
+                         f"{f.f_value(x, y)}\n")
+        return 1
     _emit(f"verified: {f.rows}x{f.cols}, {tree.leaf_count} leaves, "
           f"depth {tree.depth}\n", args.out)
     return 0

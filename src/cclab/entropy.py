@@ -22,6 +22,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvariantError
 from .matrix import LiftedFun
 from .rectangles import Rectangle, check_monochromatic
@@ -203,7 +205,12 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
     """
     color = check_monochromatic(lift.lifted, R)
     if color is None:
-        raise ValueError("R is not monochromatic in the lifted function")
+        sub = lift.lifted.sign[np.ix_(R.row_set, R.col_set)]
+        i, j = divmod(int(np.argmax(sub != sub[0, 0])), sub.shape[1])
+        raise ValueError(
+            f"rectangle is not monochromatic: cell ({R.row_set[i]}, "
+            f"{R.col_set[j]}) breaks the color of ({R.row_set[0]}, "
+            f"{R.col_set[0]})")
     n = lift.n
     base = lift.base
 

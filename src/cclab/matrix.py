@@ -9,6 +9,11 @@ integer matrix over the rationals.
 Everything here is exact: rank uses fraction-free elimination with
 Python's arbitrary-precision integers, and no floating point appears
 anywhere in this module.  All values are immutable after construction.
+
+The searches see f only through its row/column classes (``classes``)
+and integer bitmasks: ``BoolFun.bits()`` holds the masks of the f = 1
+cells, derived on first use and cached, never written again, and
+``index_bits`` is the one mask-to-indices decoder.
 """
 
 from __future__ import annotations
@@ -54,16 +59,13 @@ class BoolFun:
     they are None for top-level functions.
     """
 
-    __slots__ = ("sign", "label", "row_map", "col_map")
+    __slots__ = ("sign", "label", "row_map", "col_map", "_bits")
 
     def __init__(self, sign, label="", row_map=None, col_map=None):
         arr = np.asarray(sign, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sign matrix must be 2-D and non-empty")
-        if arr.shape[0] * arr.shape[1] > DESK_CELL_CAP:
-            raise CapacityError(
-                f"matrix has {arr.shape[0] * arr.shape[1]} cells, "
-                f"over the desk-scale cap of {DESK_CELL_CAP}")
+        _check_cap("matrix has", arr.shape[0] * arr.shape[1])
         if not np.all(np.abs(arr) == 1):
             raise ValueError("sign matrix entries must be exactly +1 or -1")
         arr = arr.copy()
@@ -72,6 +74,7 @@ class BoolFun:
         self.label = label
         self.row_map = None if row_map is None else tuple(row_map)
         self.col_map = None if col_map is None else tuple(col_map)
+        self._bits = None
 
     @property
     def rows(self) -> int:
@@ -89,12 +92,69 @@ class BoolFun:
         """The 0/1 function value at (x, y)."""
         return 0 if self.sign[x, y] == 1 else 1
 
+    def bits(self) -> tuple:
+        """(row masks, column masks) of the f = 1 cells: bit y of row
+        mask x, and bit x of column mask y, are set iff f(x, y) = 1."""
+        if self._bits is None:
+            ones = self.sign == -1
+            self._bits = tuple(
+                tuple(int.from_bytes(row.tobytes(), "little") for row in
+                      np.packbits(side, axis=1, bitorder="little"))
+                for side in (ones, ones.T))
+        return self._bits
+
     def is_constant(self) -> bool:
         return bool(np.all(self.sign == self.sign[0, 0]))
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"<BoolFun{tag} {self.rows}x{self.cols}>"
+
+
+def _check_cap(what: str, cells: int) -> None:
+    if cells > DESK_CELL_CAP:
+        raise CapacityError(f"{what} {cells} cells, over the desk-scale "
+                            f"cap of {DESK_CELL_CAP}")
+
+
+def index_bits(mask: int) -> tuple:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def classes(f: BoolFun, rmask: int | None = None, cmask: int | None = None):
+    """Row and column classes of f restricted to rmask x cmask (default:
+    all of f), as (row_classes, col_classes), lists of index lists.
+
+    Rows are grouped by their content on cmask; columns by their content
+    on the first row of each row class, which is the same as on all of
+    rmask.  Classes come in first-occurrence order, members ascending.
+    """
+    row_bits, col_bits = f.bits()
+    if rmask is None:
+        rmask = (1 << f.rows) - 1
+    if cmask is None:
+        cmask = (1 << f.cols) - 1
+    row_classes = _group(row_bits, rmask, cmask)
+    reps = sum(1 << cls[0] for cls in row_classes)
+    return row_classes, _group(col_bits, cmask, reps)
+
+
+def _group(masks, members: int, within: int) -> list:
+    """The indices in ``members`` grouped by ``masks[i] & within``."""
+    groups = {}  # kept in first-occurrence order
+    for i in index_bits(members):
+        key = masks[i] & within
+        if key in groups:
+            groups[key].append(i)
+        else:
+            groups[key] = [i]
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -210,11 +270,7 @@ def xor_power(f: BoolFun, n: int) -> LiftedFun:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cells = (f.rows ** n) * (f.cols ** n)
-    if cells > DESK_CELL_CAP:
-        raise CapacityError(
-            f"lift would have {cells} cells, over the desk-scale cap "
-            f"of {DESK_CELL_CAP}")
+    _check_cap("lift would have", (f.rows ** n) * (f.cols ** n))
     sign = f.sign
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)
@@ -272,11 +328,11 @@ def rank(f: BoolFun) -> int:
 
 def distinct_row_count(f: BoolFun) -> int:
     """Number of distinct rows (always <= 2**rank for a sign matrix)."""
-    return len({r.tobytes() for r in f.sign})
+    return len(classes(f)[0])
 
 
 def distinct_col_count(f: BoolFun) -> int:
-    return len({c.tobytes() for c in f.sign.T})
+    return len(classes(f)[1])
 
 
 def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:
@@ -313,6 +369,7 @@ def parse_bfn(text: str) -> BoolFun:
     rows, cols = int(parts[0]), int(parts[1])
     if rows < 1 or cols < 1:
         raise ParseError("rows and cols must be >= 1", 1, 1)
+    _check_cap("matrix has", rows * cols)
     if len(lines) < 1 + rows:
         raise ParseError(f"expected {rows} data lines", len(lines), 1)
     data = np.empty((rows, cols), dtype=np.int8)

@@ -16,8 +16,10 @@ most ceil(2 * log_{3/2} leaf_count).
 
 ``exact_cc`` computes D(f) by memoized min-max search over submatrix
 pairs, with rank and fooling-set lower bounds and a distinct-row
-protocol as the incumbent upper bound.  Exhausting the caps yields an
-explicit interval, never a wrong exact claim.
+protocol as the incumbent upper bound.  Each search node keeps one row
+and one column per class of ``matrix.classes``, the one row/column
+deduplication.  Exhausting the caps yields an explicit interval, never
+a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import StructureError
 from .limits import BudgetExceeded, Meter, SearchLimits
-from .matrix import BoolFun, exact_rank
+from .matrix import BoolFun, classes, exact_rank
 from .rectangles import fooling_set_bound
 
 ALICE = "alice"
@@ -106,15 +108,21 @@ def evaluate(t: ProtocolTree, x: int, y: int):
     return node.output, tuple(bits)
 
 
-def verify(t: ProtocolTree, f: BoolFun) -> bool:
-    """Exhaustive check that the tree computes f on every input."""
+def first_mismatch(t: ProtocolTree, f: BoolFun):
+    """The first input (x, y), in row-major order, on which the tree's
+    output differs from f, or None if it computes f everywhere."""
     if t.n_rows != f.rows or t.n_cols != f.cols:
         raise ValueError("tree and function index spaces differ")
     for x in range(f.rows):
         for y in range(f.cols):
             if evaluate(t, x, y)[0] != f.f_value(x, y):
-                return False
-    return True
+                return x, y
+    return None
+
+
+def verify(t: ProtocolTree, f: BoolFun) -> bool:
+    """Exhaustive check that the tree computes f on every input."""
+    return first_mismatch(t, f) is None
 
 
 # ---------------------------------------------------------------------------
@@ -257,35 +265,11 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     sign = tuple(tuple(int(v) for v in row) for row in f.sign)
     nr, nc = f.rows, f.cols
     memo = {}
-    rank_memo = {}
-
-    def bits(mask):
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
 
     def dedup(rmask, cmask):
-        rows = bits(rmask)
-        cols = bits(cmask)
-        seen = set()
-        keep = 0
-        for x in rows:
-            key = tuple(sign[x][y] for y in cols)
-            if key not in seen:
-                seen.add(key)
-                keep |= 1 << x
-        rows = bits(keep)
-        seen = set()
-        keepc = 0
-        for y in cols:
-            key = tuple(sign[x][y] for x in rows)
-            if key not in seen:
-                seen.add(key)
-                keepc |= 1 << y
-        return keep, keepc
+        # The first row and the first column of each class, ascending.
+        return [[members[0] for members in cls]
+                for cls in classes(f, rmask, cmask)]
 
     def canon(sub):
         rows = sorted(set(sub))
@@ -294,18 +278,9 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
         return (len(rows2), len(colsT),
                 bytes(1 if v == 1 else 0 for row in rows2 for v in row))
 
-    def rank_of(key, sub):
-        rk = rank_memo.get(key)
-        if rk is None:
-            rk = exact_rank(sub)
-            rank_memo[key] = rk
-        return rk
-
     def solve(rmask, cmask):
         meter.tick()
-        rmask, cmask = dedup(rmask, cmask)
-        rows = bits(rmask)
-        cols = bits(cmask)
+        rows, cols = dedup(rmask, cmask)
         sub = tuple(tuple(sign[x][y] for y in cols) for x in rows)
         if len(rows) == 1 and len(cols) == 1:
             return 0  # deduped to a single value: constant
@@ -315,8 +290,10 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
             return hit
         dr, dc = len(rows), len(cols)
         best = min(_ceil_log2(dr) + 1, _ceil_log2(dc) + 1)
-        lo = max(1, _ceil_log2(rank_of(key, sub)))
+        lo = max(1, _ceil_log2(exact_rank(sub)))
         if best > lo:
+            rmask = sum(1 << x for x in rows)
+            cmask = sum(1 << y for y in cols)
             for side_rows in (True, False):
                 idxs = rows if side_rows else cols
                 k = len(idxs)
@@ -355,9 +332,9 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
         return CCResult(status="exact", lower=0, upper=0, nodes=0)
     root_lo = max(1, _ceil_log2(exact_rank(sign)),
                   _ceil_log2(fooling_set_bound(f)))
-    dr = len({row for row in sign})
-    dc = len({col for col in zip(*sign)})
-    root_hi = min(_ceil_log2(dr) + 1, _ceil_log2(dc) + 1)
+    row_classes, col_classes = classes(f)
+    root_hi = min(_ceil_log2(len(row_classes)) + 1,
+                  _ceil_log2(len(col_classes)) + 1)
     try:
         val = solve(full_r, full_c)
         return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
@@ -386,12 +363,18 @@ def _node_from_obj(obj):
     if "output" in obj:
         return Leaf(output=obj["output"])
     try:
-        return Node(speaker=obj["speaker"],
-                    subset=frozenset(int(i) for i in obj["subset"]),
+        subset = obj["subset"]
+        if not isinstance(subset, list) or not all(map(_is_int, subset)):
+            raise StructureError("tree node subset must be a list of integers")
+        return Node(speaker=obj["speaker"], subset=frozenset(subset),
                     child0=_node_from_obj(obj["child0"]),
                     child1=_node_from_obj(obj["child1"]))
     except KeyError as e:
         raise StructureError(f"tree node missing field {e}") from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def tree_to_obj(t: ProtocolTree) -> dict:
@@ -399,7 +382,8 @@ def tree_to_obj(t: ProtocolTree) -> dict:
 
 
 def tree_from_obj(obj) -> ProtocolTree:
-    if not isinstance(obj, dict) or "tree" not in obj:
-        raise StructureError("protocol file must hold {rows, cols, tree}")
-    return ProtocolTree(_node_from_obj(obj["tree"]),
-                        int(obj["rows"]), int(obj["cols"]))
+    if (not isinstance(obj, dict) or "tree" not in obj
+            or not _is_int(obj.get("rows")) or not _is_int(obj.get("cols"))):
+        raise StructureError("protocol file must hold {rows, cols, tree} "
+                             "with integer rows and cols")
+    return ProtocolTree(_node_from_obj(obj["tree"]), obj["rows"], obj["cols"])

@@ -11,8 +11,8 @@ every maximum-area rectangle is closed.
 
 Determinism: every search breaks ties lexicographically, results are
 identical across runs for the same inputs and limits.  Subsets are
-manipulated as Python integer bitmasks internally and exposed as
-sorted index tuples.
+manipulated as Python integer bitmasks internally, read from
+``BoolFun.bits()``, and exposed as sorted index tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError
 from .limits import BudgetExceeded, Meter, SearchLimits
-from .matrix import BoolFun
+from .matrix import BoolFun, index_bits
 
 EXACT = "exact"
 BOUNDS = "bounds"
@@ -104,20 +104,13 @@ def check_monochromatic(f: BoolFun, r: Rectangle) -> int | None:
     return v if np.all(sub == v) else None
 
 
-def _mask_to_tuple(mask: int) -> tuple:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def _col_row_masks(sign, color: int):
-    """For each column, the bitmask of rows matching ``color``."""
-    eq = sign == color
-    return [sum(1 << int(x) for x in np.flatnonzero(eq[:, y]))
-            for y in range(sign.shape[1])]
+def _of_color(masks, width: int, color: int):
+    """The f = 1 masks of ``BoolFun.bits()`` as the masks of the cells
+    of sign ``color``: as they are for -1, complemented for +1."""
+    if color == -1:
+        return masks
+    full = (1 << width) - 1
+    return [full ^ m for m in masks]
 
 
 def _closure(col_rows, a: int, cols, first: int = 0):
@@ -137,7 +130,7 @@ def _closure(col_rows, a: int, cols, first: int = 0):
     return b, rest
 
 
-def _close_by_one(sign, color: int, visit, skip=None) -> bool:
+def _close_by_one(f: BoolFun, color: int, visit, skip=None) -> bool:
     """Close-by-One (Kuznetsov 1993) over the columns of one color.
 
     Calls ``visit(a, b)`` on every closed rectangle (row mask a, column
@@ -146,31 +139,40 @@ def _close_by_one(sign, color: int, visit, skip=None) -> bool:
     (a, b) on column y, with rows a2 = a & rows(y), is skipped before
     its closure when ``skip(a2, width)`` holds: every rectangle below it
     has rows within a2 and at most width = |b| + #{z >= y outside b
-    meeting a} columns.
+    meeting a} columns.  The search keeps its own stack, since its depth
+    can reach min(rows, cols), beyond Python's recursion limit.
     """
-    col_rows = _col_row_masks(sign, color)
-
-    def rec(a, b, cand, start):
-        # cand: the ascending columns outside b that meet a.
-        if b and visit(a, b):
-            return True
-        width = b.bit_count() + len(cand)
-        for i, y in enumerate(cand):
+    col_rows = _of_color(f.bits()[1], f.rows, color)
+    # The node (a, b) has candidates cand, the ascending columns outside
+    # b that meet a, and children only on columns >= start.  ``it`` walks
+    # cand and waits on the stack while a child's subtree is searched, so
+    # ``skip`` is asked only once the earlier subtrees are done.
+    a = (1 << f.rows) - 1
+    b, cand = _closure(col_rows, a, range(f.cols))
+    if b and visit(a, b):
+        return True
+    start, width, it = 0, b.bit_count() + len(cand), enumerate(cand)
+    stack = []
+    while True:
+        for i, y in it:
             if y < start:
                 continue
             a2 = a & col_rows[y]
             if skip is not None and skip(a2, width - i):
                 continue
             closed = _closure(col_rows, a2, cand, y)
-            if closed is None:  # not canonical: reached on a smaller column
-                continue
-            if rec(a2, b | closed[0], closed[1], y + 1):
-                return True
-        return False
-
-    a0 = (1 << sign.shape[0]) - 1
-    b0, cand0 = _closure(col_rows, a0, range(sign.shape[1]))
-    return rec(a0, b0, cand0, 0)
+            if closed is not None:  # else reached on a smaller column
+                break
+        else:  # no child left: back to the parent
+            if not stack:
+                return False
+            a, b, cand, start, width, it = stack.pop()
+            continue
+        stack.append((a, b, cand, start, width, it))
+        a, b, cand, start = a2, b | closed[0], closed[1], y + 1
+        if visit(a, b):
+            return True
+        width, it = b.bit_count() + len(cand), enumerate(cand)
 
 
 def _mask_lt(p: int, q: int) -> bool:
@@ -190,11 +192,10 @@ def enumerate_maximal_mono(f: BoolFun, budget: int = 200_000) -> EnumerationResu
         def collect(a, b):
             if len(found) >= budget:
                 return True
-            found.append(Rectangle(_mask_to_tuple(a), _mask_to_tuple(b),
-                                   color=color))
+            found.append(Rectangle(index_bits(a), index_bits(b), color=color))
             return False
 
-        truncated = _close_by_one(f.sign, color, collect)
+        truncated = _close_by_one(f, color, collect)
         if truncated:
             break
     found.sort(key=Rectangle.key)
@@ -223,10 +224,9 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
                 best[:] = area, a, b, color
             return False
 
-        _close_by_one(f.sign, color, keep_best, skip)
+        _close_by_one(f, color, keep_best, skip)
 
-    return Rectangle(_mask_to_tuple(best[1]), _mask_to_tuple(best[2]),
-                     color=best[3])
+    return Rectangle(index_bits(best[1]), index_bits(best[2]), color=best[3])
 
 
 def fooling_set_cells(f: BoolFun) -> tuple:
@@ -294,9 +294,9 @@ def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
             # Close cell (x, y) over the columns where row x has its color.
             x, y = divmod((uncovered & -uncovered).bit_length() - 1, f.cols)
             color = int(f.sign[x, y])
-            row_cols = _col_row_masks(f.sign.T, color)
+            row_cols = _of_color(f.bits()[0], f.cols, color)
             rows, _ = _closure(row_cols, row_cols[x], range(f.rows))
-            rect = Rectangle(_mask_to_tuple(rows), _mask_to_tuple(row_cols[x]),
+            rect = Rectangle(index_bits(rows), index_bits(row_cols[x]),
                              color=color)
             extra.append(rect)
             uncovered &= ~_cells_mask(f.cols, rect)
@@ -391,13 +391,8 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
         return best_sel, True
 
     cand_by_cell = {}
-    cells = []
-    u = universe
-    while u:
-        low = u & -u
-        cell = low.bit_length() - 1
-        cells.append(cell)
-        u ^= low
+    cells = index_bits(universe)
+    for cell in cells:
         cand = [i for i in rect_ids if cell_masks[i] >> cell & 1]
         cand.sort(key=lambda i: (-cell_masks[i].bit_count(), i))
         cand_by_cell[cell] = cand

@@ -98,6 +98,18 @@ def test_measure_parse_error_names_position(tmp_path, capsys):
     assert "line 2" in err and "col 2" in err
 
 
+def test_bfn_over_cap_is_user_error(tmp_path, capsys):
+    # The header alone is over the cell cap; nothing is allocated for it.
+    src = tmp_path / "huge.bfn"
+    src.write_text("3 1000000000000\n0\n1\n0\n")
+    assert run(["gen", "--in", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "desk-scale cap" in lines[0]
+
+
 # ----------------------------------------------------------- extract
 
 def test_extract_identity_n1(tmp_path, capsys):
@@ -193,6 +205,20 @@ def test_verify_mismatch_exit_1(tmp_path, capsys):
     run(["build", "--in", str(src), "--out", str(proto)])
     assert run(["verify", "--in", str(proto), "--matrix", str(other)]) == 1
     assert "mismatch at (" in capsys.readouterr().err
+
+
+def test_protocol_file_wrong_types_are_user_errors(tmp_path, capsys):
+    node = {"speaker": "alice", "subset": [0], "child0": {"output": 0},
+            "child1": {"output": 1}}
+    for bad in ({"rows": 2, "cols": 2, "tree": dict(node, subset=5)},
+                {"rows": "2", "cols": 2, "tree": node}):
+        proto = tmp_path / "bad.json"
+        proto.write_text(json.dumps(bad))
+        assert run(["balance", "--in", str(proto)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 # ----------------------------------------------------------- report

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cclab import (BoolFun, CapacityError, DESK_CELL_CAP, ParseError,
-                   distinct_col_count, distinct_row_count, exact_rank,
-                   format_bfn, make_family, parse_bfn, rank, restrict,
-                   splitmix64, xor_power)
+                   classes, distinct_col_count, distinct_row_count,
+                   exact_rank, format_bfn, make_family, parse_bfn, rank,
+                   restrict, splitmix64, xor_power)
+from cclab.matrix import index_bits
 
 from oracles import brute_lift_sign, rank_fractions, random_sign
 
@@ -175,19 +176,54 @@ def test_rank_subadditivity():
 
 # ---------------------------------------------------------------- distinct
 
+def _brute_classes(f, rows, cols):
+    """Rows grouped by their numpy content on cols, then columns by
+    their content on the first row of each row class."""
+    groups = {}
+    for x in rows:
+        groups.setdefault(f.sign[x, cols].tobytes(), []).append(x)
+    reps = [g[0] for g in groups.values()]
+    col_groups = {}
+    for y in cols:
+        col_groups.setdefault(f.sign[reps, y].tobytes(), []).append(y)
+    return list(groups.values()), list(col_groups.values())
+
+
 def test_distinct_counts_examples():
     assert distinct_row_count(make_family("const", 3, const_value=0)) == 1
     assert distinct_row_count(make_family("eq", 4)) == 4
     f = make_family("xor", 2)
     assert distinct_row_count(f) == 2 == 2 ** rank(f)
     assert distinct_col_count(make_family("gt", 5)) == 5
+    g = BoolFun([[1, -1, 1], [1, -1, 1], [-1, 1, -1], [1, -1, 1]])
+    assert classes(g) == ([[0, 1, 3], [2]], [[0, 2], [1]])
+    assert classes(g, 0b1100, 0b110) == ([[2], [3]], [[1], [2]])
+    assert classes(g, 0b0100, 0b001) == ([[2]], [[0]])
+    bits = g.bits()
+    assert bits == ((0b010, 0b010, 0b101, 0b010), (0b0100, 0b1011, 0b0100))
+    assert g.bits() is bits
+    assert index_bits(0) == () and index_bits(0b10110) == (1, 2, 4)
 
 
 def test_distinct_rows_at_most_two_to_rank():
+    stream = splitmix64(99)
     for seed in range(40):
         f = random_sign(2 + seed % 6, 2 + (seed // 2) % 6, 7000 + seed)
         assert distinct_row_count(f) <= 2 ** rank(f)
         assert distinct_col_count(f) <= 2 ** rank(f)
+        assert classes(f) == _brute_classes(f, list(range(f.rows)),
+                                            list(range(f.cols)))
+        for k in range(6):
+            # k = 0: one row and one column; otherwise random non-empty masks
+            if k == 0:
+                rmask = 1 << next(stream) % f.rows
+                cmask = 1 << next(stream) % f.cols
+            else:
+                rmask = next(stream) % ((1 << f.rows) - 1) + 1
+                cmask = next(stream) % ((1 << f.cols) - 1) + 1
+            rows = [x for x in range(f.rows) if rmask >> x & 1]
+            cols = [y for y in range(f.cols) if cmask >> y & 1]
+            assert classes(f, rmask, cmask) == _brute_classes(f, rows, cols)
 
 
 # ---------------------------------------------------------------- restrict

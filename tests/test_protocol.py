@@ -5,8 +5,8 @@ import pytest
 
 from cclab import (ALICE, BOB, Leaf, Node, ProtocolTree, SearchLimits,
                    StructureError, balance, cover_number, evaluate, exact_cc,
-                   make_family, rank, restrict, splitmix64, tree_from_obj,
-                   tree_to_obj, verify)
+                   first_mismatch, make_family, rank, restrict, splitmix64,
+                   tree_from_obj, tree_to_obj, verify)
 
 from oracles import all_sign_matrices, brute_cc, random_sign
 from treegen import caterpillar_tree, random_tree
@@ -47,6 +47,9 @@ def test_verify_examples():
     assert verify(ProtocolTree(Leaf(0), 2, 2), const0)
     assert not verify(ProtocolTree(Leaf(0), 2, 2), make_family("xor", 2))
     assert verify(_xor2_tree(), make_family("xor", 2))
+    assert first_mismatch(ProtocolTree(Leaf(0), 2, 2),
+                          make_family("xor", 2)) == (0, 1)
+    assert first_mismatch(_xor2_tree(), make_family("xor", 2)) is None
 
 
 def test_verify_dimension_mismatch():
@@ -93,6 +96,17 @@ def test_tree_from_obj_errors():
         tree_from_obj({"rows": 2, "cols": 2})
     with pytest.raises(StructureError):
         tree_from_obj({"rows": 2, "cols": 2, "tree": {"speaker": ALICE}})
+    node = {"speaker": ALICE, "child0": {"output": 0},
+            "child1": {"output": 1}}
+    for subset in (5, "01", [0.0], [True], None):
+        with pytest.raises(StructureError):
+            tree_from_obj({"rows": 2, "cols": 2,
+                           "tree": dict(node, subset=subset)})
+    for rows in ("2", 2.0, None, [2]):
+        with pytest.raises(StructureError):
+            tree_from_obj({"rows": rows, "cols": 2, "tree": {"output": 0}})
+    assert tree_from_obj({"rows": 2, "cols": 2,
+                          "tree": dict(node, subset=[0])}).leaf_count == 2
 
 
 # ----------------------------------------------------------- balance

@@ -82,6 +82,14 @@ def test_enumerate_matches_brute_force():
         assert not res.truncated
 
 
+def test_enumerate_deep_chain_no_recursion_limit():
+    # gt_m has 2m - 1 closed rectangles, found down a chain of depth ~m,
+    # deeper than Python's recursion limit at m = 1100 (1.2M cells).
+    for m in (5, 50, 1100):
+        res = enumerate_maximal_mono(make_family("gt", m))
+        assert len(res.rects) == 2 * m - 1 and not res.truncated
+
+
 def test_enumerate_budget_truncates():
     f = make_family("eq", 4)
     full = enumerate_maximal_mono(f)
