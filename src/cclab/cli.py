@@ -13,6 +13,7 @@ Default search limits come from the CCLAB_LIMITS environment variable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,8 +25,8 @@ from .errors import CapacityError, InvariantError, ParseError, StructureError
 from .limits import SearchLimits
 from .matrix import (BoolFun, distinct_col_count, distinct_row_count,
                      format_bfn, make_family, rank, read_bfn, xor_power)
-from .protocol import (balance, evaluate, exact_cc, first_mismatch,
-                       tree_from_obj, tree_to_obj, verify)
+from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
+                       first_mismatch, tree_from_obj, tree_to_obj, verify)
 from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
 
@@ -215,35 +216,33 @@ def _cmd_build(args) -> int:
         raise ValueError("build requires --out for the protocol file")
     _emit(json.dumps(tree_to_obj(tree), sort_keys=True, indent=2) + "\n",
           args.out)
-    trace_obj = {
-        "rank_steps": trace.rank_steps, "shrink_steps": trace.shrink_steps,
-        "base_case": trace.base_case, "input_rank": trace.input_rank,
-        "cover_value": trace.cover_value, "n": trace.n,
-        "budgets_ok": trace.budgets_ok(),
-        "leaves": tree.leaf_count, "depth": tree.depth,
-        "steps": [{"kind": s.kind, "rows": s.rows, "cols": s.cols,
-                   "rank": s.rank, "side": s.side, "rect_area": s.rect_area,
-                   "removed_cells": s.removed_cells,
-                   "area_check": s.area_check, "shrink_check": s.shrink_check}
-                  for s in trace.steps],
-    }
+    trace_obj = dict(dataclasses.asdict(trace), budgets_ok=trace.budgets_ok(),
+                     leaves=tree.leaf_count, depth=tree.depth)
     _emit(json.dumps(trace_obj, sort_keys=True, indent=2) + "\n",
           args.out + ".trace.json")
     return 0 if audited else 2
 
 
+def _read_tree(path) -> ProtocolTree:
+    """The protocol tree held in a JSON file.  A file nested deeper than
+    the interpreter's recursion limit is a user error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return tree_from_obj(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"protocol file {path} is nested too deeply "
+                         "to read") from None
+
+
 def _cmd_balance(args) -> int:
-    with open(args.in_path, "r", encoding="utf-8") as fh:
-        tree = tree_from_obj(json.load(fh))
-    out = balance(tree)
+    out = balance(_read_tree(args.in_path))
     _emit(json.dumps(tree_to_obj(out), sort_keys=True, indent=2) + "\n",
           args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    with open(args.in_path, "r", encoding="utf-8") as fh:
-        tree = tree_from_obj(json.load(fh))
+    tree = _read_tree(args.in_path)
     f = read_bfn(args.matrix)
     if tree.n_rows != f.rows or tree.n_cols != f.cols:
         raise ValueError("tree and matrix dimensions differ")

@@ -15,11 +15,13 @@ and recurse on the four residual protocols.  The output depth is at
 most ceil(2 * log_{3/2} leaf_count).
 
 ``exact_cc`` computes D(f) by memoized min-max search over submatrix
-pairs, with rank and fooling-set lower bounds and a distinct-row
-protocol as the incumbent upper bound.  Each search node keeps one row
-and one column per class of ``matrix.classes``, the one row/column
-deduplication.  Exhausting the caps yields an explicit interval, never
-a wrong exact claim.
+pairs.  Each search node keeps one row and one column per class of
+``matrix.classes``, the one row/column deduplication; its rank floor
+is its lower bound and the cheaper side announcing its class is the
+incumbent upper bound.  The root also takes the fooling-set floor, so
+bounds that meet end the search at the root.  The memo key is the
+submatrix up to row and column permutation.  Exhausting the caps
+yields the interval of the root's bounds, never a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -255,92 +257,84 @@ def _ceil_log2(k: int) -> int:
 
 def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     """Exact deterministic communication complexity by exhaustive
-    protocol search, memoized over canonicalized submatrices.
+    protocol search, memoized over submatrices up to row and column
+    permutation.
 
-    Intended for desk-scale matrices (up to ~8x8).  On cap exhaustion
-    returns the interval [best lower bound, trivial protocol depth].
+    Intended for desk-scale matrices (up to ~8x8).  The root's rank and
+    fooling-set floors and its class-count ceiling start the search, so
+    bounds that meet are an exact answer without a split.  On cap
+    exhaustion returns the interval [root floor, root ceiling].
     """
-    caps = caps or SearchLimits()
-    meter = Meter(caps)
-    sign = tuple(tuple(int(v) for v in row) for row in f.sign)
-    nr, nc = f.rows, f.cols
-    memo = {}
-
-    def dedup(rmask, cmask):
-        # The first row and the first column of each class, ascending.
-        return [[members[0] for members in cls]
-                for cls in classes(f, rmask, cmask)]
-
-    def canon(sub):
-        rows = sorted(set(sub))
-        colsT = sorted(set(zip(*rows)))
-        rows2 = tuple(zip(*colsT))
-        return (len(rows2), len(colsT),
-                bytes(1 if v == 1 else 0 for row in rows2 for v in row))
-
-    def solve(rmask, cmask):
-        meter.tick()
-        rows, cols = dedup(rmask, cmask)
-        sub = tuple(tuple(sign[x][y] for y in cols) for x in rows)
-        if len(rows) == 1 and len(cols) == 1:
-            return 0  # deduped to a single value: constant
-        key = canon(sub)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        dr, dc = len(rows), len(cols)
-        best = min(_ceil_log2(dr) + 1, _ceil_log2(dc) + 1)
-        lo = max(1, _ceil_log2(exact_rank(sub)))
-        if best > lo:
-            rmask = sum(1 << x for x in rows)
-            cmask = sum(1 << y for y in cols)
-            for side_rows in (True, False):
-                idxs = rows if side_rows else cols
-                k = len(idxs)
-                if k < 2:
-                    continue
-                rest = idxs[1:]
-                for pick in range(2 ** (k - 1) - 1):
-                    pmask = 1 << idxs[0]
-                    for b, idx in enumerate(rest):
-                        if pick >> b & 1:
-                            pmask |= 1 << idx
-                    qmask = (rmask if side_rows else cmask) ^ pmask
-                    if side_rows:
-                        d1 = solve(pmask, cmask)
-                        if d1 + 1 >= best:
-                            continue
-                        d2 = solve(qmask, cmask)
-                    else:
-                        d1 = solve(rmask, pmask)
-                        if d1 + 1 >= best:
-                            continue
-                        d2 = solve(rmask, qmask)
-                    val = 1 + max(d1, d2)
-                    if val < best:
-                        best = val
-                        if best == lo:
-                            break
-                if best == lo:
-                    break
-        memo[key] = best
-        return best
-
-    full_r = (1 << nr) - 1
-    full_c = (1 << nc) - 1
     if f.is_constant():
         return CCResult(status="exact", lower=0, upper=0, nodes=0)
-    root_lo = max(1, _ceil_log2(exact_rank(sign)),
-                  _ceil_log2(fooling_set_bound(f)))
-    row_classes, col_classes = classes(f)
-    root_hi = min(_ceil_log2(len(row_classes)) + 1,
-                  _ceil_log2(len(col_classes)) + 1)
+    meter = Meter(caps or SearchLimits())
+    sign = f.sign.tolist()
+    memo = {}
+
+    def expand(rmask, cmask):
+        # The first row and the first column of each class, ascending,
+        # and the submatrix they span.
+        meter.tick()
+        rows, cols = ([members[0] for members in cls]
+                      for cls in classes(f, rmask, cmask))
+        return rows, cols, [[sign[x][y] for y in cols] for x in rows]
+
+    def bounds(rows, cols, sub):
+        # The rank floor, and the cheaper side announcing its class.
+        return (max(1, _ceil_log2(exact_rank(sub))),
+                _ceil_log2(min(len(rows), len(cols))) + 1)
+
+    def solve(rmask, cmask):
+        rows, cols, sub = expand(rmask, cmask)
+        if len(rows) == 1 and len(cols) == 1:
+            return 0  # deduped to a single value: constant
+        # Rows and columns are distinct, so the sorted columns of the
+        # row-sorted submatrix are a normal form under permutations.
+        key = tuple(sorted(zip(*sorted(sub))))
+        best = memo.get(key)
+        if best is None:
+            best = memo[key] = split(rows, cols, *bounds(rows, cols, sub))
+        return best
+
+    def split(rows, cols, lo, best):
+        # best lowered by the children's values, stopping once it is lo.
+        if best > lo:
+            for kid1, kid2 in _splits(sum(1 << x for x in rows),
+                                      sum(1 << y for y in cols)):
+                d1 = solve(*kid1)
+                if d1 + 1 < best:
+                    best = min(best, 1 + max(d1, solve(*kid2)))
+                    if best == lo:
+                        break
+        return best
+
+    rows, cols, sub = expand((1 << f.rows) - 1, (1 << f.cols) - 1)
+    lo, hi = bounds(rows, cols, sub)
+    lo = max(lo, _ceil_log2(fooling_set_bound(f)))
     try:
-        val = solve(full_r, full_c)
-        return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
+        val = split(rows, cols, lo, hi)
     except BudgetExceeded:
-        return CCResult(status="interval", lower=root_lo, upper=root_hi,
+        return CCResult(status="interval", lower=lo, upper=hi,
                         nodes=meter.nodes)
+    return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
+
+
+def _splits(rmask: int, cmask: int):
+    """The two children of each one-bit split of rmask x cmask, rows
+    first, then columns.  The part holding the side's lowest index runs
+    over the subsets of the other indices in ascending order, all but
+    the whole side."""
+    for by_rows, side in ((True, rmask), (False, cmask)):
+        low = side & -side
+        rest = side ^ low
+        s = 0
+        while s != rest:
+            part = low | s
+            s = (s - rest) & rest
+            if by_rows:
+                yield (part, cmask), (side ^ part, cmask)
+            else:
+                yield (rmask, part), (rmask, side ^ part)
 
 
 # ---------------------------------------------------------------------------

@@ -349,12 +349,9 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     exact_done = True
     chosen_all = []
     lower_total = 0
+    ones = sum(m << (x * f.cols) for x, m in enumerate(f.bits()[0]))
     for color in (1, -1):
-        cells_c = 0
-        for x in range(f.rows):
-            for y in range(f.cols):
-                if f.sign[x, y] == color:
-                    cells_c |= 1 << (x * f.cols + y)
+        cells_c = ones if color == -1 else ((1 << f.cells) - 1) ^ ones
         if cells_c == 0:
             continue
         incumbent = [i for i in greedy_idx if rects[i].color == color]

@@ -80,6 +80,15 @@ def test_measure_ip8_rank(capsys):
     assert code in (0, 2)
 
 
+def test_measure_root_bounds_that_meet_are_exact(capsys):
+    code = run(["measure", "--family", "gt", "--m", "8", "--limits",
+                "node=1"])
+    out = capsys.readouterr().out
+    assert "D_lo: 4" in out and "D_hi: 4" in out
+    assert "D_status: exact" in out
+    assert code == 0
+
+
 def test_measure_inconclusive_exit_2(tmp_path, capsys):
     f = random_sign(6, 6, 99)
     src = tmp_path / "r.bfn"
@@ -210,15 +219,25 @@ def test_verify_mismatch_exit_1(tmp_path, capsys):
 def test_protocol_file_wrong_types_are_user_errors(tmp_path, capsys):
     node = {"speaker": "alice", "subset": [0], "child0": {"output": 0},
             "child1": {"output": 1}}
-    for bad in ({"rows": 2, "cols": 2, "tree": dict(node, subset=5)},
-                {"rows": "2", "cols": 2, "tree": node}):
+    # A chain 5,000 deep, too deep for the JSON decoder to nest.
+    link = '{"speaker": "alice", "subset": [0], "child0": {"output": 0}, ' \
+           '"child1": '
+    deep = ('{"rows": 2, "cols": 2, "tree": ' + link * 5000
+            + '{"output": 1}' + "}" * 5001)
+    src = tmp_path / "eq2.bfn"
+    run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
+    for text in (json.dumps({"rows": 2, "cols": 2,
+                             "tree": dict(node, subset=5)}),
+                 json.dumps({"rows": "2", "cols": 2, "tree": node}), deep):
         proto = tmp_path / "bad.json"
-        proto.write_text(json.dumps(bad))
-        assert run(["balance", "--in", str(proto)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        proto.write_text(text)
+        for argv in (["balance", "--in", str(proto)],
+                     ["verify", "--in", str(proto), "--matrix", str(src)]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 # ----------------------------------------------------------- report

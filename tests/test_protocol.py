@@ -170,6 +170,32 @@ def test_exact_cc_matches_brute_force():
     for seed in range(4):
         f = random_sign(4, 4, 3100 + seed)
         assert exact_cc(f).value == brute_cc(f)
+    # The fooling floor (3) is above the rank floor (2) and ends the
+    # search early on these; gt4, gt5 and eq4 close at the root.
+    for seed in (18, 166, 183, 191):
+        f = make_family("random", 5, seed=seed)
+        assert exact_cc(f).value == brute_cc(f)
+    for fam, m in (("gt", 4), ("gt", 5), ("eq", 4)):
+        f = make_family(fam, m)
+        assert exact_cc(f).value == brute_cc(f)
+
+
+def test_exact_cc_root_bounds_close_search():
+    # Rank floor 3, fooling floor 4, and 8 distinct rows give the
+    # ceiling 4: bounds that meet are exact at the root, on any budget.
+    for fam in ("gt", "eq"):
+        res = exact_cc(make_family(fam, 8), SearchLimits(node_budget=1))
+        assert (res.status, res.value, res.nodes) == ("exact", 4, 1)
+    for seed in range(1000, 1020):
+        f = make_family("random", 6, seed=seed)
+        d = exact_cc(f).value
+        for budget in (5, 50, 500):
+            res = exact_cc(f, SearchLimits(node_budget=budget))
+            if res.status == "interval":
+                assert res.lower < res.upper
+                assert res.lower <= d <= res.upper
+            else:
+                assert res.value == d
 
 
 def test_exact_cc_interval_on_tiny_budget():
