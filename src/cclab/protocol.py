@@ -269,12 +269,12 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
         return CCResult(status="exact", lower=0, upper=0, nodes=0)
     meter = Meter(caps or SearchLimits())
     sign = f.sign.tolist()
-    memo = {}
+    memo = {((1,),): 0, ((-1,),): 0}  # normal form -> value
+    seen = {}  # (rmask, cmask) -> value
 
     def expand(rmask, cmask):
         # The first row and the first column of each class, ascending,
         # and the submatrix they span.
-        meter.tick()
         rows, cols = ([members[0] for members in cls]
                       for cls in classes(f, rmask, cmask))
         return rows, cols, [[sign[x][y] for y in cols] for x in rows]
@@ -285,15 +285,17 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
                 _ceil_log2(min(len(rows), len(cols))) + 1)
 
     def solve(rmask, cmask):
-        rows, cols, sub = expand(rmask, cmask)
-        if len(rows) == 1 and len(cols) == 1:
-            return 0  # deduped to a single value: constant
-        # Rows and columns are distinct, so the sorted columns of the
-        # row-sorted submatrix are a normal form under permutations.
-        key = tuple(sorted(zip(*sorted(sub))))
-        best = memo.get(key)
+        meter.tick()
+        best = seen.get((rmask, cmask))  # a pair met again is not expanded
         if best is None:
-            best = memo[key] = split(rows, cols, *bounds(rows, cols, sub))
+            rows, cols, sub = expand(rmask, cmask)
+            # Rows and columns are distinct, so the sorted columns of the
+            # row-sorted submatrix are a normal form under permutations.
+            key = tuple(sorted(zip(*sorted(sub))))
+            best = memo.get(key)
+            if best is None:
+                best = memo[key] = split(rows, cols, *bounds(rows, cols, sub))
+            seen[rmask, cmask] = best
         return best
 
     def split(rows, cols, lo, best):
@@ -308,6 +310,7 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
                         break
         return best
 
+    meter.tick()
     rows, cols, sub = expand((1 << f.rows) - 1, (1 << f.cols) - 1)
     lo, hi = bounds(rows, cols, sub)
     lo = max(lo, _ceil_log2(fooling_set_bound(f)))
@@ -316,6 +319,9 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     except BudgetExceeded:
         return CCResult(status="interval", lower=lo, upper=hi,
                         nodes=meter.nodes)
+    finally:  # solve and split form a cycle: free the tables now
+        memo.clear()
+        seen.clear()
     return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
 
 

@@ -450,6 +450,11 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
         return best_sel, True
     except BudgetExceeded:
         return best_sel, False
+    finally:
+        # rec holds itself in its closure, a cycle that would keep these
+        # tables alive until the cyclic garbage collector runs.
+        seen.clear()
+        cand_by_cell.clear()
 
 
 # ---------------------------------------------------------------------------

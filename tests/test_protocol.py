@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -196,6 +197,42 @@ def test_exact_cc_root_bounds_close_search():
                 assert res.lower <= d <= res.upper
             else:
                 assert res.value == d
+
+
+def test_exact_cc_counts_every_visit():
+    # A pair of masks met again is read from its own table but still
+    # counted as a node, so node counts and budget cuts stay those of
+    # the plain memoized search.
+    for seed, nodes in ((17, 6108), (18, 6707)):
+        f = make_family("random", 6, seed=seed)
+        res = exact_cc(f)
+        assert (res.status, res.value, res.nodes) == ("exact", 4, nodes)
+        cut = exact_cc(f, SearchLimits(node_budget=nodes - 1))
+        assert (cut.status, cut.nodes) == ("interval", nodes)
+    res = exact_cc(make_family("random", 7, seed=2))
+    assert (res.value, res.nodes) == (4, 44435)
+
+
+def _new_dicts(run):
+    """The dicts over 20 entries that ``run`` leaves allocated, with the
+    cyclic garbage collector held off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = [o for o in gc.get_objects() if isinstance(o, dict)]
+        known = {id(o) for o in before}
+        run()
+        return [len(o) for o in gc.get_objects()
+                if isinstance(o, dict) and id(o) not in known and len(o) > 20]
+    finally:
+        gc.enable()
+
+
+def test_searches_free_their_tables_on_return():
+    # Their recursive closures form reference cycles, which would keep
+    # the memo and candidate tables until the cyclic collector runs.
+    assert _new_dicts(lambda: exact_cc(make_family("random", 6, seed=17))) == []
+    assert _new_dicts(lambda: cover_number(make_family("eq", 6))) == []
 
 
 def test_exact_cc_interval_on_tiny_budget():
