@@ -58,8 +58,12 @@ class ProtocolTree:
     def __init__(self, root, n_rows: int, n_cols: int):
         if n_rows < 1 or n_cols < 1:
             raise StructureError("input space must be non-empty")
-        leaves, depth = _check(root, frozenset(range(n_rows)),
-                               frozenset(range(n_cols)))
+        try:
+            leaves, depth = _check(root, frozenset(range(n_rows)),
+                                   frozenset(range(n_cols)))
+        except RecursionError:
+            raise StructureError("protocol tree is nested too deeply "
+                                 "to check") from None
         self.root = root
         self.n_rows = n_rows
         self.n_cols = n_cols

@@ -3,11 +3,12 @@
 Rectangles are product sets (row subset) x (col subset) on which the
 sign matrix is constant.  This module checks monochromaticity and
 computes the cover number C(f) exactly (branch-and-bound set cover over
-maximal rectangles, greedy incumbent, fooling-set lower bound) or
-greedily.  One Close-by-One search over the columns (Kuznetsov 1993)
-finds the closed (maximal) monochromatic rectangles: it enumerates
-them all, and with an area bound it finds a maximum-area one, since
-every maximum-area rectangle is closed.
+maximal rectangles, greedy incumbent, fooling-set and coverage lower
+bounds, the coverage bound tested as a threshold on the rectangles
+sorted by size) or greedily.  One Close-by-One search over the columns
+(Kuznetsov 1993) finds the closed (maximal) monochromatic rectangles:
+it enumerates them all, and with an area bound it finds a maximum-area
+one, since every maximum-area rectangle is closed.
 
 Determinism: every search breaks ties lexicographically, results are
 identical across runs for the same inputs and limits.  Subsets are
@@ -17,6 +18,7 @@ manipulated as Python integer bitmasks internally, read from
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,18 +280,25 @@ def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
 
     The extras are only needed when the enumerated universe was
     truncated and left cells uncoverable."""
-    full = (1 << (f.rows * f.cols)) - 1
-    uncovered = full
+    uncovered = (1 << (f.rows * f.cols)) - 1
     chosen = []
     extra = []
+    # Coverage only shrinks, so a stale count bounds the fresh one: the
+    # popped rectangle is the first of the most-covering ones once its
+    # fresh key (-count, index) still sorts before the heap's top.
+    heap = [(-cm.bit_count(), idx) for idx, cm in enumerate(cell_masks)]
+    heapq.heapify(heap)
     while uncovered:
         best_idx = -1
-        best_cov = 0
-        for idx, cm in enumerate(cell_masks):
-            cov = (cm & uncovered).bit_count()
-            if cov > best_cov:
-                best_cov = cov
+        while heap:
+            _, idx = heapq.heappop(heap)
+            cov = (cell_masks[idx] & uncovered).bit_count()
+            if not cov:
+                continue
+            if not heap or (-cov, idx) < heap[0]:
                 best_idx = idx
+                break
+            heapq.heappush(heap, (-cov, idx))
         if best_idx < 0:
             # Close cell (x, y) over the columns where row x has its color.
             x, y = divmod((uncovered & -uncovered).bit_length() - 1, f.cols)
@@ -378,6 +387,13 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
                        fooling_mask, meter):
     """Branch-and-bound set cover of one color class.
 
+    A node with uncovered cells U is pruned when its uncovered fooling
+    cells, or ceil(|U| / the largest coverage of U), show that it
+    cannot beat the incumbent.  The coverage bound is tested as a
+    threshold on the rectangles sorted by descending size, so the scan
+    stops at the first rectangle that covers enough of U or is too
+    small to.
+
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``) and whether minimality was proved
     within the meter's budget.
@@ -387,12 +403,16 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
     if max(1, fooling_mask.bit_count()) >= best_size:
         return best_sel, True
 
-    cand_by_cell = {}
+    # Rectangles by descending size, ties by index: each cell's
+    # candidates in branching order, and the masks the bound scans.
+    size = {i: cell_masks[i].bit_count() for i in rect_ids}
+    by_size = sorted(rect_ids, key=lambda i: (-size[i], i))
+    sized = [(size[i], cell_masks[i]) for i in by_size]
     cells = index_bits(universe)
-    for cell in cells:
-        cand = [i for i in rect_ids if cell_masks[i] >> cell & 1]
-        cand.sort(key=lambda i: (-cell_masks[i].bit_count(), i))
-        cand_by_cell[cell] = cand
+    cand_by_cell = {cell: [] for cell in cells}
+    for i in by_size:
+        for cell in index_bits(cell_masks[i]):
+            cand_by_cell[cell].append(i)
     # Branch on fooling cells first (they pin distinct rectangles), then
     # scarce cells.
     cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
@@ -418,13 +438,17 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
         need = (fooling_mask & uncovered).bit_count()
         if len(chosen) + max(need, 1) >= best_size:
             return
-        maxcov = 0
-        for i in rect_ids:
-            c = (cell_masks[i] & uncovered).bit_count()
-            if c > maxcov:
-                maxcov = c
-        need = -(-uncovered.bit_count() // maxcov)
-        if len(chosen) + need >= best_size:
+        # With k = best_size - len(chosen) >= 2 rectangles left to beat
+        # the incumbent, ceil(|U| / maxcov) >= k exactly when no
+        # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A
+        # rectangle smaller than t cannot, nor can any after it.
+        t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
+        for area, m in sized:
+            if area < t:
+                return
+            if (m & uncovered).bit_count() >= t:
+                break
+        else:
             return
         cell = next(c for c in cell_order if uncovered >> c & 1)
         cands = cand_by_cell[cell]
@@ -455,6 +479,7 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
         # tables alive until the cyclic garbage collector runs.
         seen.clear()
         cand_by_cell.clear()
+        sized.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,16 @@ def test_structure_bad_speaker_and_output():
         ProtocolTree(Leaf(2), 2, 2)
 
 
+def test_structure_deep_chain_is_structure_error():
+    # Validation recurses once per level; a chain too deep for it is a
+    # malformed tree, not a crash.
+    node = Leaf(1)
+    for _ in range(5000):
+        node = Node(ALICE, frozenset([0]), Leaf(0), node)
+    with pytest.raises(StructureError):
+        ProtocolTree(node, 2, 2)
+
+
 def test_leaf_count_and_depth():
     t = _xor2_tree()
     assert t.leaf_count == 4 and t.depth == 2

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
 
 from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    cover_number, enumerate_maximal_mono, exact_cc,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
-                   restrict, validate_cover)
-from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, format_cover,
-                              format_rect, parse_cover, parse_rect)
+                   restrict, validate_cover, xor_power)
+from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _greedy_cover,
+                              format_cover, format_rect, parse_cover,
+                              parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -193,6 +195,65 @@ def test_cover_node_budget_gives_bounds():
         assert res.cover is not None and validate_cover(f, res.cover)
         exact = cover_number(f)
         assert res.lower <= exact.value <= res.upper
+
+
+def test_cover_search_counts_every_visit():
+    # The coverage bound prunes exactly the nodes it always pruned, so
+    # the node counts, budget cuts and covers stay those of a full scan.
+    eq8 = make_family("eq", 8)
+    res = cover_number(eq8)
+    assert (res.status, res.value, res.nodes) == (EXACT, 13, 36841)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=36840))
+    assert cut.status == BOUNDS
+    lift = xor_power(make_family("random", 3, seed=6), 3).lifted
+    res = cover_number(lift)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4415)
+    eq4sq = xor_power(make_family("eq", 4), 2).lifted
+    res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
+                                                  rect_budget=100000))
+    assert (res.status, res.lower, res.upper, res.nodes) == (
+        BOUNDS, 19, 28, 30002)
+
+
+def _cells(f, r):
+    return sum(1 << (x * f.cols + y) for x in r.row_set for y in r.col_set)
+
+
+def _first_max_greedy(f, rects):
+    """Greedy cover by full rescans: the first rectangle of the largest
+    fresh coverage, else the closure of the first uncovered cell."""
+    masks = [_cells(f, r) for r in rects]
+    uncovered = (1 << f.cells) - 1
+    chosen, extra = [], []
+    while uncovered:
+        covs = [(m & uncovered).bit_count() for m in masks]
+        if max(covs):
+            chosen.append(covs.index(max(covs)))
+            uncovered &= ~masks[chosen[-1]]
+        else:
+            cell = (uncovered & -uncovered).bit_length() - 1
+            x, y = divmod(cell, f.cols)
+            v = f.sign[x, y]
+            cols = np.flatnonzero(f.sign[x] == v)
+            rows = np.flatnonzero((f.sign[:, cols] == v).all(axis=1))
+            extra.append(Rectangle(rows, cols, color=int(v)))
+            uncovered &= ~_cells(f, extra[-1])
+    return chosen, extra
+
+
+def test_greedy_cover_first_best_pick():
+    fallbacks = 0
+    for s in range(50):
+        f = random_sign(1 + s % 8, 1 + s * 5 % 8, 1100 + s)
+        full = enumerate_maximal_mono(f).rects
+        # Every other matrix gets a truncated universe, which leaves
+        # cells for the closure fallback.
+        budget = max(1, len(full) // 3) if s % 2 else len(full)
+        rects = enumerate_maximal_mono(f, budget=budget).rects
+        want = _first_max_greedy(f, rects)
+        assert _greedy_cover(f, rects, [_cells(f, r) for r in rects]) == want
+        fallbacks += bool(want[1])
+    assert fallbacks >= 10
 
 
 def test_cover_truncated_universe_inconclusive():
