@@ -198,6 +198,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    if not args.out:
+        raise ValueError("build requires --out for the protocol file")
     f = _load_input(args)
     limits = _limits(args)
     cover_value = None
@@ -212,8 +214,6 @@ def _cmd_build(args) -> int:
                                  cover_value=cover_value)
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
-    if not args.out:
-        raise ValueError("build requires --out for the protocol file")
     _emit(json.dumps(tree_to_obj(tree), sort_keys=True, indent=2) + "\n",
           args.out)
     trace_obj = dict(dataclasses.asdict(trace), budgets_ok=trace.budgets_ok(),

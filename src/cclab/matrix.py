@@ -220,6 +220,7 @@ def make_family(name: str, m: int, seed: int | None = None,
         raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
     if m < 1:
         raise ValueError("m must be >= 1")
+    _check_cap("matrix would have", m * m)  # before anything is built
 
     if name == "random":
         if seed is None:
@@ -270,7 +271,13 @@ def xor_power(f: BoolFun, n: int) -> LiftedFun:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_cap("lift would have", (f.rows ** n) * (f.cols ** n))
+    cells = 1
+    for _ in range(n):  # stop at the first factor over the cap
+        cells *= f.cells
+        if cells > DESK_CELL_CAP:
+            raise CapacityError(f"lift of order n={n} of a {f.rows}x{f.cols} "
+                                f"matrix is over the desk-scale cap of "
+                                f"{DESK_CELL_CAP} cells")
     sign = f.sign
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)

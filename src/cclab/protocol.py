@@ -14,14 +14,15 @@ players announce whether their input is consistent with reaching it,
 and recurse on the four residual protocols.  The output depth is at
 most ceil(2 * log_{3/2} leaf_count).
 
-``exact_cc`` computes D(f) by memoized min-max search over submatrix
-pairs.  Each search node keeps one row and one column per class of
-``matrix.classes``, the one row/column deduplication; its rank floor
-is its lower bound and the cheaper side announcing its class is the
-incumbent upper bound.  The root also takes the fooling-set floor, so
-bounds that meet end the search at the root.  The memo key is the
-submatrix up to row and column permutation.  Exhausting the caps
-yields the interval of the root's bounds, never a wrong exact claim.
+``exact_cc`` computes D(f) by min-max search over submatrices,
+memoized by their (row mask, column mask) pair.  Each search node
+keeps one row and one column per class of ``matrix.classes``, the one
+row/column deduplication.  Its lower bound is the leaf-count rank
+floor ceil(log2(rank(M1) + rank(M0))) of its f = 1 and f = 0
+indicators, and the cheaper side announcing its class is the
+incumbent upper bound, so bounds that meet end the search at that
+node; most inputs close at the root.  Exhausting the caps yields the
+interval of the root's bounds, never a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from .errors import StructureError
 from .limits import BudgetExceeded, Meter, SearchLimits
 from .matrix import BoolFun, classes, exact_rank
-from .rectangles import fooling_set_bound
 
 ALICE = "alice"
 BOB = "bob"
@@ -261,52 +261,44 @@ def _ceil_log2(k: int) -> int:
 
 def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     """Exact deterministic communication complexity by exhaustive
-    protocol search, memoized over submatrices up to row and column
-    permutation.
+    protocol search, memoized over (row mask, column mask) pairs.
 
-    Intended for desk-scale matrices (up to ~8x8).  The root's rank and
-    fooling-set floors and its class-count ceiling start the search, so
-    bounds that meet are an exact answer without a split.  On cap
-    exhaustion returns the interval [root floor, root ceiling].
+    A node's floor is the leaf-count rank bound: a protocol's leaves
+    partition the node into monochromatic rectangles, at least rank(M1)
+    of them 1-rectangles and rank(M0) 0-rectangles.  The size it
+    reaches is limited by these two exact ranks, not by the search.
+    The root's bounds start the search, so bounds that meet are an
+    exact answer without a split.  On cap exhaustion returns the
+    interval [root floor, root ceiling].
     """
     if f.is_constant():
         return CCResult(status="exact", lower=0, upper=0, nodes=0)
     meter = Meter(caps or SearchLimits())
-    sign = f.sign.tolist()
-    memo = {((1,),): 0, ((-1,),): 0}  # normal form -> value
-    seen = {}  # (rmask, cmask) -> value
+    indicators = ((f.sign < 0).tolist(), (f.sign > 0).tolist())  # M1, M0
+    memo = {}  # (rmask, cmask) -> value
 
-    def expand(rmask, cmask):
-        # The first row and the first column of each class, ascending,
-        # and the submatrix they span.
+    def bounds(rmask, cmask):
+        # The masks of the class representatives, the leaf-count rank
+        # floor, and the cheaper side announcing its class.  A
+        # monochromatic node has floor 0 and is a leaf.
         rows, cols = ([members[0] for members in cls]
                       for cls in classes(f, rmask, cmask))
-        return rows, cols, [[sign[x][y] for y in cols] for x in rows]
-
-    def bounds(rows, cols, sub):
-        # The rank floor, and the cheaper side announcing its class.
-        return (max(1, _ceil_log2(exact_rank(sub))),
-                _ceil_log2(min(len(rows), len(cols))) + 1)
+        lo = _ceil_log2(sum(exact_rank([[m[x][y] for y in cols] for x in rows])
+                            for m in indicators))
+        hi = _ceil_log2(min(len(rows), len(cols))) + 1 if lo else 0
+        return sum(1 << x for x in rows), sum(1 << y for y in cols), lo, hi
 
     def solve(rmask, cmask):
         meter.tick()
-        best = seen.get((rmask, cmask))  # a pair met again is not expanded
+        best = memo.get((rmask, cmask))
         if best is None:
-            rows, cols, sub = expand(rmask, cmask)
-            # Rows and columns are distinct, so the sorted columns of the
-            # row-sorted submatrix are a normal form under permutations.
-            key = tuple(sorted(zip(*sorted(sub))))
-            best = memo.get(key)
-            if best is None:
-                best = memo[key] = split(rows, cols, *bounds(rows, cols, sub))
-            seen[rmask, cmask] = best
+            best = memo[rmask, cmask] = split(*bounds(rmask, cmask))
         return best
 
-    def split(rows, cols, lo, best):
+    def split(rmask, cmask, lo, best):
         # best lowered by the children's values, stopping once it is lo.
         if best > lo:
-            for kid1, kid2 in _splits(sum(1 << x for x in rows),
-                                      sum(1 << y for y in cols)):
+            for kid1, kid2 in _splits(rmask, cmask):
                 d1 = solve(*kid1)
                 if d1 + 1 < best:
                     best = min(best, 1 + max(d1, solve(*kid2)))
@@ -315,17 +307,14 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
         return best
 
     meter.tick()
-    rows, cols, sub = expand((1 << f.rows) - 1, (1 << f.cols) - 1)
-    lo, hi = bounds(rows, cols, sub)
-    lo = max(lo, _ceil_log2(fooling_set_bound(f)))
+    rmask, cmask, lo, hi = bounds((1 << f.rows) - 1, (1 << f.cols) - 1)
     try:
-        val = split(rows, cols, lo, hi)
+        val = split(rmask, cmask, lo, hi)
     except BudgetExceeded:
         return CCResult(status="interval", lower=lo, upper=hi,
                         nodes=meter.nodes)
-    finally:  # solve and split form a cycle: free the tables now
+    finally:  # solve and split form a cycle: free the memo now
         memo.clear()
-        seen.clear()
     return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
 
 

@@ -119,6 +119,17 @@ def test_bfn_over_cap_is_user_error(tmp_path, capsys):
     assert "desk-scale cap" in lines[0]
 
 
+def test_lift_over_cap_is_user_error(capsys):
+    # The lifted cell count is not built in full: 3**200000 cells would
+    # be too long an integer to print.
+    assert run(["report", "--family", "eq", "--m", "3", "--n", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "n=100000" in lines[0] and "desk-scale cap" in lines[0]
+
+
 # ----------------------------------------------------------- extract
 
 def test_extract_identity_n1(tmp_path, capsys):
@@ -192,6 +203,19 @@ def test_build_balance_verify_pipeline(tmp_path, capsys):
     assert run(["balance", "--in", str(proto), "--out", str(bal)]) == 0
     assert run(["verify", "--in", str(bal), "--matrix", str(src)]) == 0
     capsys.readouterr()
+
+
+def test_build_without_out_fails_before_building(monkeypatch, capsys):
+    import cclab.cli as cli
+
+    def unused(*args, **kwargs):
+        raise AssertionError("built before checking --out")
+
+    monkeypatch.setattr(cli, "xor_power", unused)
+    monkeypatch.setattr(cli, "build_protocol", unused)
+    assert run(["build", "--family", "eq", "--m", "4", "--mode", "exact"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "requires --out" in lines[0]
 
 
 def test_build_constant_one_leaf(tmp_path):

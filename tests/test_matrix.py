@@ -118,6 +118,25 @@ def test_xor_power_capacity_error_names_limit():
         xor_power(f, 3)
 
 
+def test_family_over_cap_builds_nothing(monkeypatch):
+    # The cell count is checked before any cell is generated: the
+    # random stream and the parity helper (ip, xor) must not be used.
+    import cclab.matrix as matrix
+
+    def stream(seed):
+        raise AssertionError("drew from the random stream")
+        yield
+
+    def parity(v):
+        raise AssertionError("computed a parity")
+
+    monkeypatch.setattr(matrix, "splitmix64", stream)
+    monkeypatch.setattr(matrix, "_popcount_parity", parity)
+    for name, m in (("random", 4200), ("ip", 8192), ("xor", 100000)):
+        with pytest.raises(CapacityError, match=str(DESK_CELL_CAP)):
+            make_family(name, m, seed=1)
+
+
 def test_index_codec_round_trip():
     lift = xor_power(make_family("eq", 3), 2)
     for flat in range(9):

@@ -175,14 +175,17 @@ def test_exact_cc_examples():
 def test_exact_cc_matches_brute_force():
     for f in all_sign_matrices(2, 2):
         assert exact_cc(f).value == brute_cc(f)
+    for f in all_sign_matrices(3, 3):
+        assert exact_cc(f).value == brute_cc(f)
     for seed in range(10):
         f = random_sign(3, 3, 3000 + seed)
         assert exact_cc(f).value == brute_cc(f)
     for seed in range(4):
         f = random_sign(4, 4, 3100 + seed)
         assert exact_cc(f).value == brute_cc(f)
-    # The fooling floor (3) is above the rank floor (2) and ends the
-    # search early on these; gt4, gt5 and eq4 close at the root.
+    # These search below the root: the leaf-count rank floor (3) is
+    # the value, under the class ceiling (4).  gt4, gt5 and eq4 close
+    # at the root.
     for seed in (18, 166, 183, 191):
         f = make_family("random", 5, seed=seed)
         assert exact_cc(f).value == brute_cc(f)
@@ -192,10 +195,13 @@ def test_exact_cc_matches_brute_force():
 
 
 def test_exact_cc_root_bounds_close_search():
-    # Rank floor 3, fooling floor 4, and 8 distinct rows give the
-    # ceiling 4: bounds that meet are exact at the root, on any budget.
-    for fam in ("gt", "eq"):
-        res = exact_cc(make_family(fam, 8), SearchLimits(node_budget=1))
+    # The leaf-count floor ceil(log2(rank(M1) + rank(M0))) is 4 on these
+    # (rank(M1) + rank(M0) is 15 for gt8 and 16 for eq8), and 7 or 8
+    # distinct rows give the ceiling 4: bounds that meet are exact at
+    # the root, on any budget.  ceil(log2 rank(sign)) is only 3.
+    for f in (*(make_family(fam, 8) for fam in ("gt", "eq", "ip", "and")),
+              make_family("random", 7, seed=2)):
+        res = exact_cc(f, SearchLimits(node_budget=1))
         assert (res.status, res.value, res.nodes) == ("exact", 4, 1)
     for seed in range(1000, 1020):
         f = make_family("random", 6, seed=seed)
@@ -210,17 +216,15 @@ def test_exact_cc_root_bounds_close_search():
 
 
 def test_exact_cc_counts_every_visit():
-    # A pair of masks met again is read from its own table but still
-    # counted as a node, so node counts and budget cuts stay those of
-    # the plain memoized search.
-    for seed, nodes in ((17, 6108), (18, 6707)):
-        f = make_family("random", 6, seed=seed)
+    # A pair of masks met again is read from the memo but still counted
+    # as a node, and a budget one node short of the search cuts it.
+    for m, seed, nodes in ((5, 10, 41), (5, 29, 41), (6, 54, 298),
+                           (7, 29, 1015)):
+        f = make_family("random", m, seed=seed)
         res = exact_cc(f)
         assert (res.status, res.value, res.nodes) == ("exact", 4, nodes)
         cut = exact_cc(f, SearchLimits(node_budget=nodes - 1))
         assert (cut.status, cut.nodes) == ("interval", nodes)
-    res = exact_cc(make_family("random", 7, seed=2))
-    assert (res.value, res.nodes) == (4, 44435)
 
 
 def _new_dicts(run):
@@ -241,14 +245,14 @@ def _new_dicts(run):
 def test_searches_free_their_tables_on_return():
     # Their recursive closures form reference cycles, which would keep
     # the memo and candidate tables until the cyclic collector runs.
-    assert _new_dicts(lambda: exact_cc(make_family("random", 6, seed=17))) == []
+    assert _new_dicts(lambda: exact_cc(make_family("random", 6, seed=54))) == []
     assert _new_dicts(lambda: cover_number(make_family("eq", 6))) == []
 
 
 def test_exact_cc_interval_on_tiny_budget():
-    f = random_sign(6, 6, 42)
+    f = make_family("random", 6, seed=54)
     res = exact_cc(f, SearchLimits(node_budget=5))
-    assert res.status == "interval"
+    assert (res.status, res.lower, res.upper) == ("interval", 3, 4)
     true_d = exact_cc(f).value
     assert res.lower <= true_d <= res.upper
 
