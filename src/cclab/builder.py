@@ -27,10 +27,10 @@ import numpy as np
 from .errors import CapacityError, InvariantError
 from .limits import SearchLimits
 from .matrix import BoolFun, classes, rank, restrict, xor_power
-from .protocol import (ALICE, BOB, CCResult, Leaf, Node, ProtocolTree,
-                       balance, exact_cc, verify)
-from .rectangles import (EXACT, CoverResult, Rectangle, check_monochromatic,
-                         cover_number, max_mono_rectangle)
+from .protocol import (ALICE, BOB, Leaf, Node, ProtocolTree, balance,
+                       exact_cc, verify)
+from .rectangles import (EXACT, Rectangle, check_monochromatic, cover_number,
+                         max_mono_rectangle)
 from .entropy import extract_rectangle
 
 DIRECT_MAX = "direct"
@@ -210,9 +210,10 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                    cover_value: int | None = None):
     """Build a protocol tree for f along the rank-splitting recursion.
 
-    Returns (tree, trace) with verify(tree, f) True and the trace
-    satisfying both step budgets (auditable when cover_value is the
-    exact cover number of f^(+n)).
+    Returns (tree, trace): the tree is checked here to compute f
+    (InvariantError if it does not), and the trace satisfies both step
+    budgets (auditable when cover_value is the exact cover number of
+    f^(+n)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -274,11 +275,13 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         decision = choose_split(sub, rect)
         if decision.side == ALICE_SENDS:
             in_r = [cur_rows[i] for i in rect.row_set]
-            out_r = [r for r in cur_rows if r not in set(in_r)]
+            kept = set(in_r)
+            out_r = [r for r in cur_rows if r not in kept]
             removed = len(in_r) * len(cur_cols)
         else:
             in_c = [cur_cols[i] for i in rect.col_set]
-            out_c = [c for c in cur_cols if c not in set(in_c)]
+            kept = set(in_c)
+            out_c = [c for c in cur_cols if c not in kept]
             removed = len(in_c) * len(cur_rows)
         shrink_check = None
         if cover_value is not None:
@@ -307,6 +310,8 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                     expand(node.child1))
 
     tree = ProtocolTree(expand(root_d), f.rows, f.cols)
+    if not verify(tree, f):
+        raise InvariantError("built protocol failed verification")
     trace = BuildTrace(steps=tuple(steps), rank_steps=maxima["rank"],
                        shrink_steps=maxima["shrink"],
                        base_case=maxima["base"], input_rank=input_rank,
@@ -354,24 +359,21 @@ def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
                    strategy: str = DIRECT_MAX) -> TheoremReport:
     limits = limits or SearchLimits()
     rk = rank(f)
-    cc: CCResult = exact_cc(f, limits)
+    cc = exact_cc(f, limits)
     lift = xor_power(f, n)
-    cov: CoverResult = cover_number(lift.lifted, EXACT, limits)
-    c_exact = cov.status == EXACT
-    cover_value = cov.upper if c_exact else None
+    cov = cover_number(lift.lifted, EXACT, limits)
+    cover_value = cov.value if cov.exact else None
     tree, _ = build_protocol(f, n, strategy=strategy, cover_value=cover_value)
-    if not verify(tree, f):
-        raise InvariantError("built protocol failed verification")
     bal = balance(tree)
 
-    log_c = math.log2(cov.upper) if c_exact else None
+    log_c = math.log2(cov.upper) if cov.exact else None
     degenerate = rk == 1
     rho = None
-    if cc.status == "exact" and c_exact and rk >= 2 and cc.upper > 0:
+    if cc.exact and cov.exact and rk >= 2 and cc.upper > 0:
         rho = (log_c / n + math.log2(rk)) * math.log2(rk) / cc.upper
     return TheoremReport(
         name=f.label or "f", rows=f.rows, cols=f.cols, rank=rk,
-        d_lo=cc.lower, d_hi=cc.upper, d_exact=cc.status == "exact",
-        n=n, c_lo=cov.lower, c_hi=cov.upper, c_exact=c_exact,
+        d_lo=cc.lower, d_hi=cc.upper, d_exact=cc.exact,
+        n=n, c_lo=cov.lower, c_hi=cov.upper, c_exact=cov.exact,
         log_c=log_c, rho=rho, degenerate=degenerate,
         leaves=tree.leaf_count, balanced_depth=bal.depth)

@@ -1,6 +1,11 @@
 """Command-line surface: gen, measure, extract, build, balance, verify,
 report.
 
+Each command takes only the flags it reads; any other is a user error.
+measure, build and report run the metered searches and take --limits;
+measure and report print text, csv or json (--format), extract text or
+json.  report reads --family only, not --in.
+
 Exit codes: 0 exact success, 2 bounded/inconclusive results, 1 user
 error.  Identical invocations (including seed and limits) produce
 byte-identical outputs; wall-clock limits (ms=) are the one knob that
@@ -21,12 +26,12 @@ import sys
 
 from .builder import (DIRECT_MAX, LIFT_EXTRACT, build_protocol,
                       theorem_report)
-from .errors import CapacityError, InvariantError, ParseError, StructureError
+from .errors import CapacityError, ParseError, StructureError
 from .limits import SearchLimits
 from .matrix import (BoolFun, distinct_col_count, distinct_row_count,
                      format_bfn, make_family, rank, read_bfn, xor_power)
 from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
-                       first_mismatch, tree_from_obj, tree_to_obj, verify)
+                       first_mismatch, tree_from_obj, tree_to_obj)
 from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
 
@@ -48,55 +53,65 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, inputs=True):
-        if inputs:
-            sp.add_argument("--in", dest="in_path", help="input .bfn matrix file")
-            sp.add_argument("--family", choices=["xor", "and", "eq", "gt", "ip",
-                                                 "random", "const"])
-            sp.add_argument("--m", help="family size (report: comma list)")
-            sp.add_argument("--seed", type=int, help="seed for random family")
-            sp.add_argument("--value", type=int, choices=[0, 1],
-                            help="bit for const family")
+    # The flags shared by some commands, each given only where it is read.
+    def family(sp):
+        sp.add_argument("--family", choices=["xor", "and", "eq", "gt", "ip",
+                                             "random", "const"])
+        sp.add_argument("--m", help="family size (report: comma list)")
+        sp.add_argument("--seed", type=int, help="seed for random family")
+        sp.add_argument("--value", type=int, choices=[0, 1],
+                        help="bit for const family")
+
+    def matrix(sp):  # --in or --family
+        sp.add_argument("--in", dest="in_path", help="input .bfn matrix file")
+        family(sp)
+
+    def limits(sp):
         sp.add_argument("--limits", help="node=..,ms=..,rects=..")
-        sp.add_argument("--format", choices=["text", "csv", "json"],
-                        default="text")
+
+    def formats(*choices):
+        return lambda sp: sp.add_argument("--format", choices=choices,
+                                          default="text")
+
+    def command(name, help, *shared):
+        sp = sub.add_parser(name, help=help)
+        for add in shared:
+            add(sp)
         sp.add_argument("--out", help="output path (default: stdout)")
+        return sp
 
-    sp = sub.add_parser("gen", help="write a family matrix as .bfn")
-    common(sp)
+    table_formats = formats("text", "csv", "json")
+    command("gen", "write a family matrix as .bfn", matrix)
 
-    sp = sub.add_parser("measure", help="rank, distinct rows/cols, D, C")
-    common(sp)
+    sp = command("measure", "rank, distinct rows/cols, D, C", matrix, limits,
+                 table_formats)
     sp.add_argument("--mode", choices=["exact", "greedy"], default="exact")
 
-    sp = sub.add_parser("extract", help="pull a base rectangle out of a lift rectangle")
-    common(sp)
+    sp = command("extract", "pull a base rectangle out of a lift rectangle",
+                 matrix, formats("text", "json"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--rect", required=True, help=".rect file over the lift")
 
-    sp = sub.add_parser("build", help="build a protocol tree (rank-split recursion)")
-    common(sp)
+    sp = command("build", "build a protocol tree (rank-split recursion)",
+                 matrix, limits)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--strategy", choices=[DIRECT_MAX, LIFT_EXTRACT],
                     default=DIRECT_MAX)
     sp.add_argument("--mode", choices=["exact", "greedy"], default="greedy",
                     help="exact: also compute C(f^(+n)) exactly to audit the trace")
 
-    sp = sub.add_parser("balance", help="rebalance a protocol tree")
-    common(sp, inputs=False)
+    sp = command("balance", "rebalance a protocol tree")
     sp.add_argument("--in", dest="in_path", required=True, help="protocol json")
 
-    sp = sub.add_parser("verify", help="check a protocol tree against a matrix")
-    common(sp, inputs=False)
+    sp = command("verify", "check a protocol tree against a matrix")
     sp.add_argument("--in", dest="in_path", required=True, help="protocol json")
     sp.add_argument("--matrix", required=True, help=".bfn matrix file")
 
-    sp = sub.add_parser("report", help="lower-bound experiment rows across a family sweep")
-    common(sp)
+    sp = command("report", "lower-bound experiment rows across a family sweep",
+                 family, limits, table_formats)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--strategy", choices=[DIRECT_MAX, LIFT_EXTRACT],
                     default=DIRECT_MAX)
-    sp.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     return p
 
 
@@ -105,7 +120,7 @@ def _limits(args) -> SearchLimits:
     env = os.environ.get("CCLAB_LIMITS")
     if env:
         base = SearchLimits.parse(env, base)
-    if getattr(args, "limits", None):
+    if args.limits:
         base = SearchLimits.parse(args.limits, base)
     return base
 
@@ -172,7 +187,7 @@ def _cmd_measure(args) -> int:
         "C_lo": cov.lower, "C_hi": cov.upper, "C_status": cov.status,
     }
     _emit(_render([row], MEASURE_COLUMNS, args.format), args.out)
-    return 0 if cc.status == "exact" and cov.status == EXACT else 2
+    return 0 if cc.exact and cov.exact else 2
 
 
 def _cmd_extract(args) -> int:
@@ -203,24 +218,19 @@ def _cmd_build(args) -> int:
     f = _load_input(args)
     limits = _limits(args)
     cover_value = None
-    audited = args.mode != "exact"  # greedy mode: nothing to audit
     if args.mode == "exact":
-        lift = xor_power(f, args.n)
-        cov = cover_number(lift.lifted, EXACT, limits)
-        if cov.status == EXACT:
-            cover_value = cov.upper
-            audited = True
+        cov = cover_number(xor_power(f, args.n).lifted, EXACT, limits)
+        cover_value = cov.value if cov.exact else None
     tree, trace = build_protocol(f, args.n, strategy=args.strategy,
                                  cover_value=cover_value)
-    if not verify(tree, f):
-        raise InvariantError("built protocol failed verification")
     _emit(json.dumps(tree_to_obj(tree), sort_keys=True, indent=2) + "\n",
           args.out)
     trace_obj = dict(dataclasses.asdict(trace), budgets_ok=trace.budgets_ok(),
                      leaves=tree.leaf_count, depth=tree.depth)
     _emit(json.dumps(trace_obj, sort_keys=True, indent=2) + "\n",
           args.out + ".trace.json")
-    return 0 if audited else 2
+    # greedy mode has nothing to audit
+    return 0 if args.mode != "exact" or cover_value is not None else 2
 
 
 def _read_tree(path) -> ProtocolTree:

@@ -1,7 +1,10 @@
-"""Search limits shared by the exact searches (set cover, exact_cc).
+"""Search limits shared by the exact searches (set cover, exact_cc),
+and the one result type those searches return.
 
 A limit exhaustion never aborts the process: searches catch
-BudgetExceeded and fall back to a bounded/inconclusive result.
+BudgetExceeded and return a SearchResult that is not exact, whose
+status word says why: INTERVAL for D(f), BOUNDS or INCONCLUSIVE for
+C(f).
 """
 
 from __future__ import annotations
@@ -10,8 +13,38 @@ import time
 from dataclasses import dataclass
 
 
+EXACT = "exact"
+INTERVAL = "interval"          # D(f): the search hit its limits
+BOUNDS = "bounds"              # C(f): greedy, or the search hit its limits
+INCONCLUSIVE = "inconclusive"  # C(f): the rectangle universe was truncated
+
+
 class BudgetExceeded(Exception):
     """Internal signal: a search ran out of nodes or wall-clock time."""
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """The answer of a metered search: exact (lower == upper) or the
+    explicit interval [lower, upper] of a search cut short.  ``nodes``
+    counts the search nodes visited; a set cover attaches ``cover``, a
+    tuple of Rectangles witnessing ``upper``."""
+
+    status: str  # EXACT | INTERVAL | BOUNDS | INCONCLUSIVE
+    lower: int
+    upper: int
+    nodes: int = 0
+    cover: tuple | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.status == EXACT
+
+    @property
+    def value(self) -> int:
+        if not self.exact:
+            raise ValueError(f"not computed exactly (status={self.status})")
+        return self.upper
 
 
 @dataclass(frozen=True)

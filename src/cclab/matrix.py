@@ -271,13 +271,13 @@ def xor_power(f: BoolFun, n: int) -> LiftedFun:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cells = 1
-    for _ in range(n):  # stop at the first factor over the cap
-        cells *= f.cells
-        if cells > DESK_CELL_CAP:
-            raise CapacityError(f"lift of order n={n} of a {f.rows}x{f.cols} "
-                                f"matrix is over the desk-scale cap of "
-                                f"{DESK_CELL_CAP} cells")
+    # Past order 24 every base larger than 1x1 is over the cap; up to
+    # it, f.cells ** n is a cheap integer.
+    max_n = DESK_CELL_CAP.bit_length() - 1
+    if n > max_n or f.cells ** n > DESK_CELL_CAP:
+        raise CapacityError(f"lift of order n={n} of a {f.rows}x{f.cols} "
+                            f"matrix is over the desk-scale cap of "
+                            f"{DESK_CELL_CAP} cells or order {max_n}")
     sign = f.sign
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)

@@ -21,8 +21,9 @@ row/column deduplication.  Its lower bound is the leaf-count rank
 floor ceil(log2(rank(M1) + rank(M0))) of its f = 1 and f = 0
 indicators, and the cheaper side announcing its class is the
 incumbent upper bound, so bounds that meet end the search at that
-node; most inputs close at the root.  Exhausting the caps yields the
-interval of the root's bounds, never a wrong exact claim.
+node; most inputs close at the root.  It returns a
+``limits.SearchResult``: exact, or on exhausting the caps the INTERVAL
+of the root's bounds, never a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StructureError
-from .limits import BudgetExceeded, Meter, SearchLimits
+from .limits import (EXACT, INTERVAL, BudgetExceeded, Meter, SearchLimits,
+                     SearchResult)
 from .matrix import BoolFun, classes, exact_rank
 
 ALICE = "alice"
@@ -239,27 +241,11 @@ def balance(t: ProtocolTree) -> ProtocolTree:
 # Exact communication complexity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CCResult:
-    """Exact D(f) (lower == upper) or an explicit interval on caps."""
-
-    status: str  # "exact" | "interval"
-    lower: int
-    upper: int
-    nodes: int = 0
-
-    @property
-    def value(self) -> int:
-        if self.status != "exact":
-            raise ValueError("communication complexity not computed exactly")
-        return self.upper
-
-
 def _ceil_log2(k: int) -> int:
     return (k - 1).bit_length() if k >= 1 else 0
 
 
-def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
+def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> SearchResult:
     """Exact deterministic communication complexity by exhaustive
     protocol search, memoized over (row mask, column mask) pairs.
 
@@ -272,7 +258,7 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     interval [root floor, root ceiling].
     """
     if f.is_constant():
-        return CCResult(status="exact", lower=0, upper=0, nodes=0)
+        return SearchResult(EXACT, 0, 0)
     meter = Meter(caps or SearchLimits())
     indicators = ((f.sign < 0).tolist(), (f.sign > 0).tolist())  # M1, M0
     memo = {}  # (rmask, cmask) -> value
@@ -311,11 +297,10 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> CCResult:
     try:
         val = split(rmask, cmask, lo, hi)
     except BudgetExceeded:
-        return CCResult(status="interval", lower=lo, upper=hi,
-                        nodes=meter.nodes)
+        return SearchResult(INTERVAL, lo, hi, meter.nodes)
     finally:  # solve and split form a cycle: free the memo now
         memo.clear()
-    return CCResult(status="exact", lower=val, upper=val, nodes=meter.nodes)
+    return SearchResult(EXACT, val, val, meter.nodes)
 
 
 def _splits(rmask: int, cmask: int):

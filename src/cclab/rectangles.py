@@ -5,7 +5,8 @@ sign matrix is constant.  This module checks monochromaticity and
 computes the cover number C(f) exactly (branch-and-bound set cover over
 maximal rectangles, greedy incumbent, fooling-set and coverage lower
 bounds, the coverage bound tested as a threshold on the rectangles
-sorted by size) or greedily.  One Close-by-One search over the columns
+sorted by size) or greedily, as a ``limits.SearchResult`` whose cover
+is a tuple of Rectangles.  One Close-by-One search over the columns
 (Kuznetsov 1993) finds the closed (maximal) monochromatic rectangles:
 it enumerates them all, and with an area bound it finds a maximum-area
 one, since every maximum-area rectangle is closed.
@@ -24,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .limits import BudgetExceeded, Meter, SearchLimits
+from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
+                     SearchLimits, SearchResult)
 from .matrix import BoolFun, index_bits
-
-EXACT = "exact"
-BOUNDS = "bounds"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -61,39 +59,9 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class Cover:
-    """A set of colored rectangles jointly covering every cell."""
-
-    rects: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.rects)
-
-
-@dataclass(frozen=True)
 class EnumerationResult:
     rects: tuple
     truncated: bool
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Outcome of cover_number: exact, bounds (search limits hit), or
-    inconclusive (the maximal-rectangle universe itself was truncated).
-    A valid cover witnessing ``upper`` is attached whenever one exists."""
-
-    status: str  # EXACT | BOUNDS | INCONCLUSIVE
-    cover: Cover | None
-    lower: int
-    upper: int | None
-    nodes: int = 0
-
-    @property
-    def value(self) -> int:
-        if self.status != EXACT:
-            raise ValueError(f"cover number not exact (status={self.status})")
-        return self.upper
 
 
 def check_monochromatic(f: BoolFun, r: Rectangle) -> int | None:
@@ -254,12 +222,13 @@ def fooling_set_bound(f: BoolFun) -> int:
     return len(fooling_set_cells(f))
 
 
-def validate_cover(f: BoolFun, cover: Cover) -> bool:
-    """Independent re-validation: every rectangle monochromatic with its
-    stated color, and every cell covered."""
+def validate_cover(f: BoolFun, cover: tuple) -> bool:
+    """Independent re-validation of a cover, a tuple of Rectangles:
+    every rectangle monochromatic with its stated color, and every cell
+    covered."""
     seen = 0
     full = (1 << (f.rows * f.cols)) - 1
-    for r in cover.rects:
+    for r in cover:
         if r.color is None or check_monochromatic(f, r) != r.color:
             return False
         seen |= _cells_mask(f.cols, r)
@@ -316,15 +285,16 @@ def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
 
 
 def cover_number(f: BoolFun, mode: str = EXACT,
-                 limits: SearchLimits | None = None) -> CoverResult:
+                 limits: SearchLimits | None = None) -> SearchResult:
     """The cover number C(f): minimum count of monochromatic rectangles
     covering all cells (overlaps allowed).
 
     mode="greedy": a valid cover by repeated best-coverage choice,
-    reported as an upper bound.  mode="exact": branch-and-bound set
-    cover over the maximal rectangles with the greedy value as
-    incumbent; limit exhaustion yields explicit bounds, never a wrong
-    exact claim.  Every returned cover is re-validated.
+    reported as BOUNDS.  mode="exact": branch-and-bound set cover over
+    the maximal rectangles with the greedy value as incumbent; limit
+    exhaustion yields BOUNDS, a truncated rectangle universe
+    INCONCLUSIVE, never a wrong exact claim.  The result always carries
+    a cover witnessing ``upper``, re-validated before it is returned.
     """
     if mode not in (EXACT, "greedy"):
         raise ValueError("mode must be 'exact' or 'greedy'")
@@ -339,18 +309,13 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     lower = max(1, len(fooling))
 
     greedy_idx, extra = _greedy_cover(f, rects, cell_masks)
-    greedy_rects = tuple(rects[i] for i in greedy_idx) + tuple(extra)
-    greedy_cover = Cover(rects=greedy_rects)
+    greedy_cover = tuple(rects[i] for i in greedy_idx) + tuple(extra)
     if not validate_cover(f, greedy_cover):
         raise AssertionError("greedy cover failed re-validation")
 
-    if mode == "greedy":
-        return CoverResult(status=BOUNDS, cover=greedy_cover,
-                           lower=lower, upper=greedy_cover.size)
-
-    if enum.truncated:
-        return CoverResult(status=INCONCLUSIVE, cover=greedy_cover,
-                           lower=lower, upper=greedy_cover.size)
+    if mode == "greedy" or enum.truncated:
+        return SearchResult(BOUNDS if mode == "greedy" else INCONCLUSIVE,
+                            lower, len(greedy_cover), cover=greedy_cover)
 
     # A rectangle only covers cells of its own color, so the cover
     # splits into two independent set covers, one per color.
@@ -372,15 +337,13 @@ def cover_number(f: BoolFun, mode: str = EXACT,
         lower_total += len(sel) if done else max(1, fool_c.bit_count())
         exact_done = exact_done and done
 
-    final = Cover(rects=tuple(rects[i] for i in sorted(chosen_all)))
+    final = tuple(rects[i] for i in sorted(chosen_all))
     if not validate_cover(f, final):
         raise AssertionError("cover failed re-validation")
 
     if exact_done:
-        return CoverResult(status=EXACT, cover=final, lower=final.size,
-                           upper=final.size, nodes=meter.nodes)
-    return CoverResult(status=BOUNDS, cover=final, lower=lower_total,
-                       upper=final.size, nodes=meter.nodes)
+        return SearchResult(EXACT, len(final), len(final), meter.nodes, final)
+    return SearchResult(BOUNDS, lower_total, len(final), meter.nodes, final)
 
 
 def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
@@ -518,7 +481,7 @@ def format_rect(r: Rectangle) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_cover(text: str) -> Cover:
+def parse_cover(text: str) -> tuple:
     chunks = [c for c in text.replace("\r\n", "\n").split("\n\n") if c.strip()]
     if not chunks:
         raise ParseError("empty cover file", 1)
@@ -531,11 +494,11 @@ def parse_cover(text: str) -> Cover:
     rects = tuple(parse_rect(b) for b in blocks)
     if len(rects) != count:
         raise ParseError(f"count line says {count}, found {len(rects)} blocks", 1)
-    return Cover(rects=rects)
+    return rects
 
 
-def format_cover(cover: Cover) -> str:
-    return "\n".join([str(cover.size)] + [format_rect(r) for r in cover.rects])
+def format_cover(cover: tuple) -> str:
+    return "\n".join([str(len(cover))] + [format_rect(r) for r in cover])
 
 
 def read_rect(path) -> Rectangle:

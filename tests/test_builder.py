@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cclab import (ALICE_SENDS, CapacityError, Rectangle,
+from cclab import (ALICE_SENDS, CapacityError, InvariantError, Rectangle,
                    SearchLimits, balance, build_protocol, choose_split,
                    cover_number, evaluate, exact_cc, find_big_rectangle,
                    leaf_budget, make_family, max_mono_rectangle, rank,
@@ -205,6 +205,14 @@ def test_build_degenerate_vectors():
     col = random_sign(7, 1, 4401)
     tree, trace = build_protocol(col, 1)
     assert verify(tree, col)
+
+
+def test_build_raises_on_failed_verification(monkeypatch):
+    import cclab.builder as builder
+
+    monkeypatch.setattr(builder, "verify", lambda tree, f: False)
+    with pytest.raises(InvariantError, match="verification"):
+        build_protocol(make_family("eq", 4), 1)
 
 
 def test_balanced_composition():

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import time
+
+import pytest
 
 from cclab.cli import main
-from cclab import write_bfn
+from cclab import verify, write_bfn
 from cclab.rectangles import Rectangle, write_rect
 
 from oracles import random_sign
@@ -130,6 +133,20 @@ def test_lift_over_cap_is_user_error(capsys):
     assert "n=100000" in lines[0] and "desk-scale cap" in lines[0]
 
 
+def test_one_cell_lift_order_over_cap_is_user_error(capsys):
+    # A 1x1 lift never reaches the cell cap; its order is capped instead,
+    # before anything is built.
+    start = time.perf_counter()
+    assert run(["report", "--family", "const", "--m", "1", "--value", "1",
+                "--n", "1000000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "n=1000000000" in lines[0]
+
+
 # ----------------------------------------------------------- extract
 
 def test_extract_identity_n1(tmp_path, capsys):
@@ -216,6 +233,21 @@ def test_build_without_out_fails_before_building(monkeypatch, capsys):
     assert run(["build", "--family", "eq", "--m", "4", "--mode", "exact"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "requires --out" in lines[0]
+
+
+def test_build_verifies_once(tmp_path, monkeypatch):
+    import cclab.builder as builder
+
+    calls = []
+
+    def counted(tree, f):
+        calls.append(f.label)
+        return verify(tree, f)
+
+    monkeypatch.setattr(builder, "verify", counted)
+    assert run(["build", "--family", "eq", "--m", "4", "--mode", "exact",
+                "--out", str(tmp_path / "p.json")]) == 0
+    assert calls == ["eq4"]
 
 
 def test_build_constant_one_leaf(tmp_path):
@@ -313,6 +345,39 @@ def test_bad_limits_flag(capsys):
     assert run(["measure", "--family", "xor", "--m", "2",
                 "--limits", "bogus=3"]) == 1
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "eq", "--m", "2", "--limits", "node=5"],
+    ["extract", "--in", "BFN", "--n", "2", "--rect", "RECT",
+     "--limits", "node=5"],
+    ["balance", "--in", "PROTO", "--limits", "node=5"],
+    ["verify", "--in", "PROTO", "--matrix", "BFN", "--limits", "node=5"],
+    ["gen", "--family", "eq", "--m", "2", "--format", "json"],
+    ["build", "--in", "BFN", "--format", "json"],
+    ["balance", "--in", "PROTO", "--format", "json"],
+    ["verify", "--in", "PROTO", "--matrix", "BFN", "--format", "json"],
+    ["report", "--family", "eq", "--m", "2", "--in", "BFN"],
+    ["report", "--family", "eq", "--m", "2", "--mode", "greedy"],
+    ["extract", "--in", "BFN", "--n", "2", "--rect", "RECT",
+     "--format", "csv"],
+])
+def test_flag_the_command_does_not_read_is_user_error(argv, tmp_path, capsys):
+    # Each of these would otherwise run and ignore the flag.
+    paths = {"BFN": tmp_path / "eq2.bfn", "PROTO": tmp_path / "eq2.json",
+             "RECT": tmp_path / "r.rect"}
+    run(["gen", "--family", "eq", "--m", "2", "--out", str(paths["BFN"])])
+    run(["build", "--in", str(paths["BFN"]), "--out", str(paths["PROTO"])])
+    write_rect(paths["RECT"], Rectangle((0, 3), (0, 3)))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_unknown_flag_is_user_error(capsys):

@@ -118,6 +118,16 @@ def test_xor_power_capacity_error_names_limit():
         xor_power(f, 3)
 
 
+def test_xor_power_one_cell_base_up_to_order_24():
+    # A 1x1 base never outgrows the cell cap, so the order is capped at
+    # 24, past which every larger base is over it.
+    f = make_family("const", 1, const_value=1)
+    lift = xor_power(f, 24)
+    assert lift.lifted.sign.tolist() == [[(-1) ** 24]]
+    with pytest.raises(CapacityError, match="n=25"):
+        xor_power(f, 25)
+
+
 def test_family_over_cap_builds_nothing(monkeypatch):
     # The cell count is checked before any cell is generated: the
     # random stream and the parity helper (ip, xor) must not be used.

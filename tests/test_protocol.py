@@ -253,6 +253,9 @@ def test_exact_cc_interval_on_tiny_budget():
     f = make_family("random", 6, seed=54)
     res = exact_cc(f, SearchLimits(node_budget=5))
     assert (res.status, res.lower, res.upper) == ("interval", 3, 4)
+    assert not res.exact
+    with pytest.raises(ValueError, match="interval"):
+        res.value
     true_d = exact_cc(f).value
     assert res.lower <= true_d <= res.upper
 

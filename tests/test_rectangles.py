@@ -182,7 +182,9 @@ def test_greedy_mode_valid_upper_bound():
         f = random_sign(4, 4, 600 + s)
         greedy = cover_number(f, mode="greedy")
         exact = cover_number(f)
-        assert greedy.status == BOUNDS
+        assert greedy.status == BOUNDS and not greedy.exact
+        with pytest.raises(ValueError, match=BOUNDS):
+            greedy.value
         assert validate_cover(f, greedy.cover)
         assert greedy.upper >= exact.value >= greedy.lower
 
@@ -260,7 +262,9 @@ def test_cover_truncated_universe_inconclusive():
     f = random_sign(5, 5, 10)
     full = enumerate_maximal_mono(f)
     res = cover_number(f, limits=SearchLimits(rect_budget=max(1, len(full.rects) - 2)))
-    assert res.status == INCONCLUSIVE
+    assert res.status == INCONCLUSIVE and not res.exact
+    with pytest.raises(ValueError, match=INCONCLUSIVE):
+        res.value
     assert res.cover is not None and validate_cover(f, res.cover)
     exact = cover_number(f)
     assert res.lower <= exact.value
@@ -313,8 +317,8 @@ def test_cover_round_trip():
     f = make_family("eq", 3)
     cov = cover_number(f).cover
     again = parse_cover(format_cover(cov))
-    assert [r.key() for r in again.rects] == [r.key() for r in cov.rects]
-    assert [r.color for r in again.rects] == [r.color for r in cov.rects]
+    assert [r.key() for r in again] == [r.key() for r in cov]
+    assert [r.color for r in again] == [r.color for r in cov]
 
 
 def test_parse_rect_errors():
