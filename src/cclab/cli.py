@@ -273,6 +273,8 @@ def _cmd_report(args) -> int:
         raise ValueError("report requires --family and --m (comma list allowed)")
     limits = _limits(args)
     sizes = [int(tok) for tok in str(args.m).split(",") if tok.strip()]
+    if not sizes:
+        raise ValueError(f"--m {args.m!r} lists no sizes")
     rows = []
     all_exact = True
     for m in sizes:

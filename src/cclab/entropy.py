@@ -56,14 +56,6 @@ class FiniteDist:
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @classmethod
-    def from_counts(cls, counts: dict) -> "FiniteDist":
-        total = sum(counts.values())
-        if total <= 0:
-            raise ValueError("counts must be positive")
-        return cls(tuple(sorted((v, Fraction(c, total))
-                                for v, c in counts.items() if c)))
-
-    @classmethod
     def uniform(cls, values) -> "FiniteDist":
         values = list(values)
         return cls(tuple((v, Fraction(1, len(values))) for v in values))
@@ -71,12 +63,7 @@ class FiniteDist:
 
 def entropy(d: FiniteDist) -> float:
     """Shannon entropy in bits."""
-    h = 0.0
-    for _, p in d.outcomes:
-        if p > 0:
-            pf = float(p)
-            h -= pf * math.log2(pf)
-    return h
+    return _entropy_of_counts([p for _, p in d.outcomes])
 
 
 def cond_entropy(joint: dict) -> float:
@@ -89,20 +76,17 @@ def cond_entropy(joint: dict) -> float:
     total = sum(joint.values())
     if total <= 0:
         raise ValueError("joint table must have positive mass")
-    b_marg = defaultdict(lambda: 0)
-    for (_, b), w in joint.items():
+    groups = defaultdict(Counter)
+    for (a, b), w in joint.items():
         if w < 0:
             raise ValueError("weights must be non-negative")
-        b_marg[b] += w
-    h = 0.0
-    for (_, b), w in joint.items():
-        if w > 0:
-            h += w * math.log2(b_marg[b] / w)
-    return h / total
+        groups[b][a] += w
+    return _grouped_cond_entropy(groups)
 
 
 def _entropy_of_counts(counts) -> float:
-    """Entropy in bits of a distribution proportional to integer counts."""
+    """Entropy in bits of a distribution proportional to the
+    non-negative weights ``counts`` (integers or Fractions)."""
     total = sum(counts)
     if total == 0:
         return 0.0

@@ -2,11 +2,16 @@
 
 Rectangles are product sets (row subset) x (col subset) on which the
 sign matrix is constant.  This module checks monochromaticity and
-computes the cover number C(f) exactly (branch-and-bound set cover over
-maximal rectangles, greedy incumbent, fooling-set and coverage lower
-bounds, the coverage bound tested as a threshold on the rectangles
-sorted by size) or greedily, as a ``limits.SearchResult`` whose cover
-is a tuple of Rectangles.  One Close-by-One search over the columns
+computes the cover number C(f) = C+(f) + C-(f): a rectangle covers
+cells of its own color only, so the cover is two independent set
+covers, one per color.  Each color's cover is greedy, or exact by
+branch-and-bound over that color's maximal rectangles (greedy
+incumbent, the coverage bound tested as a threshold on the rectangles
+sorted by size).  Each color's lower bound is its greedy fooling set,
+until its search finishes; the one mask prunes the search and gives the
+reported lower bound.  The answer is a ``limits.SearchResult`` whose
+cover is a tuple of Rectangles in lexicographic order of (row_set,
+col_set).  One Close-by-One search over the columns
 (Kuznetsov 1993) finds the closed (maximal) monochromatic rectangles:
 it enumerates them all, and with an area bound it finds a maximum-area
 one, since every maximum-area rectangle is closed.
@@ -199,27 +204,27 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
     return Rectangle(index_bits(best[1]), index_bits(best[2]), color=best[3])
 
 
-def fooling_set_cells(f: BoolFun) -> tuple:
-    """Greedy fooling set: cells no two of which fit in one
-    monochromatic rectangle.  Each needs its own cover rectangle, so
-    the size lower-bounds the cover number."""
-    sign = f.sign
+def _fooling_cells(f: BoolFun, color: int) -> int:
+    """Greedy fooling set of one color, as a cell mask: the cells of
+    sign ``color`` in row-major order, each kept unless it fits in one
+    monochromatic rectangle with a kept cell.  Each kept cell needs its
+    own cover rectangle, so the count lower-bounds the color's cover."""
+    row_cols = _of_color(f.bits()[0], f.cols, color)
     kept = []
-    for x in range(f.rows):
-        for y in range(f.cols):
-            v = sign[x, y]
-            ok = True
-            for (x2, y2, v2) in kept:
-                if v == v2 and sign[x, y2] == v and sign[x2, y] == v:
-                    ok = False  # compatible with a kept cell
-                    break
-            if ok:
-                kept.append((x, y, int(v)))
-    return tuple(kept)
+    mask = 0
+    for x, cols in enumerate(row_cols):
+        for y in index_bits(cols):
+            if not any(cols >> y2 & 1 and row_cols[x2] >> y & 1
+                       for x2, y2 in kept):
+                kept.append((x, y))
+                mask |= 1 << (x * f.cols + y)
+    return mask
 
 
 def fooling_set_bound(f: BoolFun) -> int:
-    return len(fooling_set_cells(f))
+    """The size of a greedy fooling set: cells no two of which fit in
+    one monochromatic rectangle, a lower bound on the cover number."""
+    return sum(_fooling_cells(f, c).bit_count() for c in (1, -1))
 
 
 def validate_cover(f: BoolFun, cover: tuple) -> bool:
@@ -244,14 +249,17 @@ def _cells_mask(n_cols: int, r: Rectangle) -> int:
     return m
 
 
-def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
-    """Greedy cover: (indices into rects, extra closure rectangles).
+def _greedy_cover(f: BoolFun, cells: int, color: int, cell_masks) -> tuple:
+    """Greedy cover of the cells of one color, the mask ``cells``, by
+    the rectangles of that color with the cell masks ``cell_masks``:
+    (indices into cell_masks, extra closure rectangles).
 
     The extras are only needed when the enumerated universe was
     truncated and left cells uncoverable."""
-    uncovered = (1 << (f.rows * f.cols)) - 1
+    uncovered = cells
     chosen = []
     extra = []
+    row_cols = _of_color(f.bits()[0], f.cols, color)
     # Coverage only shrinks, so a stale count bounds the fresh one: the
     # popped rectangle is the first of the most-covering ones once its
     # fresh key (-count, index) still sorts before the heap's top.
@@ -269,10 +277,9 @@ def _greedy_cover(f: BoolFun, rects, cell_masks) -> list:
                 break
             heapq.heappush(heap, (-cov, idx))
         if best_idx < 0:
-            # Close cell (x, y) over the columns where row x has its color.
-            x, y = divmod((uncovered & -uncovered).bit_length() - 1, f.cols)
-            color = int(f.sign[x, y])
-            row_cols = _of_color(f.bits()[0], f.cols, color)
+            # Close the first uncovered cell's row x over the columns
+            # where row x has this color.
+            x = ((uncovered & -uncovered).bit_length() - 1) // f.cols
             rows, _ = _closure(row_cols, row_cols[x], range(f.rows))
             rect = Rectangle(index_bits(rows), index_bits(row_cols[x]),
                              color=color)
@@ -289,66 +296,52 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     """The cover number C(f): minimum count of monochromatic rectangles
     covering all cells (overlaps allowed).
 
-    mode="greedy": a valid cover by repeated best-coverage choice,
-    reported as BOUNDS.  mode="exact": branch-and-bound set cover over
-    the maximal rectangles with the greedy value as incumbent; limit
-    exhaustion yields BOUNDS, a truncated rectangle universe
-    INCONCLUSIVE, never a wrong exact claim.  The result always carries
-    a cover witnessing ``upper``, re-validated before it is returned.
+    A rectangle covers cells of its own color only, so C(f) = C+(f) +
+    C-(f), two independent set covers over one enumeration of the
+    maximal rectangles.  mode="greedy": each color's greedy cover,
+    reported as BOUNDS.  mode="exact": each color's branch-and-bound set
+    cover with its greedy value as incumbent; limit exhaustion yields
+    BOUNDS, a truncated rectangle universe INCONCLUSIVE (greedy covers
+    only), never a wrong exact claim.  Each color's lower bound is its
+    fooling-set count until its search finishes, then its cover's size;
+    ``lower`` is their sum.  The result always carries a cover
+    witnessing ``upper``, validated once and sorted by Rectangle.key.
     """
     if mode not in (EXACT, "greedy"):
         raise ValueError("mode must be 'exact' or 'greedy'")
     limits = limits or SearchLimits()
     enum = enumerate_maximal_mono(f, budget=limits.rect_budget)
-    rects = list(enum.rects)
-    cell_masks = [_cells_mask(f.cols, r) for r in rects]
-    fooling = fooling_set_cells(f)
-    fooling_mask = 0
-    for (fx, fy, _) in fooling:
-        fooling_mask |= 1 << (fx * f.cols + fy)
-    lower = max(1, len(fooling))
-
-    greedy_idx, extra = _greedy_cover(f, rects, cell_masks)
-    greedy_cover = tuple(rects[i] for i in greedy_idx) + tuple(extra)
-    if not validate_cover(f, greedy_cover):
-        raise AssertionError("greedy cover failed re-validation")
-
-    if mode == "greedy" or enum.truncated:
-        return SearchResult(BOUNDS if mode == "greedy" else INCONCLUSIVE,
-                            lower, len(greedy_cover), cover=greedy_cover)
-
-    # A rectangle only covers cells of its own color, so the cover
-    # splits into two independent set covers, one per color.
+    search = mode == EXACT and not enum.truncated
     meter = Meter(limits)
-    exact_done = True
-    chosen_all = []
-    lower_total = 0
     ones = sum(m << (x * f.cols) for x, m in enumerate(f.bits()[0]))
+    cover = []
+    lower = 0
+    exact = search
     for color in (1, -1):
-        cells_c = ones if color == -1 else ((1 << f.cells) - 1) ^ ones
-        if cells_c == 0:
-            continue
-        incumbent = [i for i in greedy_idx if rects[i].color == color]
-        fool_c = fooling_mask & cells_c
-        sel, done = _exact_color_cover(
-            cells_c, [i for i, r in enumerate(rects) if r.color == color],
-            cell_masks, incumbent, fool_c, meter)
-        chosen_all.extend(sel)
-        lower_total += len(sel) if done else max(1, fool_c.bit_count())
-        exact_done = exact_done and done
+        rects = [r for r in enum.rects if r.color == color]
+        cell_masks = [_cells_mask(f.cols, r) for r in rects]
+        cells = ones if color == -1 else ((1 << f.cells) - 1) ^ ones
+        fooling = _fooling_cells(f, color)
+        chosen, extra = _greedy_cover(f, cells, color, cell_masks)
+        done = False
+        if search:
+            chosen, done = _exact_color_cover(cells, cell_masks, chosen,
+                                              fooling, meter)
+            exact = exact and done
+        cover += [rects[i] for i in chosen] + extra
+        lower += len(chosen) if done else fooling.bit_count()
 
-    final = tuple(rects[i] for i in sorted(chosen_all))
-    if not validate_cover(f, final):
+    cover = tuple(sorted(cover, key=Rectangle.key))
+    if not validate_cover(f, cover):
         raise AssertionError("cover failed re-validation")
+    status = (EXACT if exact else BOUNDS if mode == "greedy" or search
+              else INCONCLUSIVE)
+    return SearchResult(status, lower, len(cover), meter.nodes, cover)
 
-    if exact_done:
-        return SearchResult(EXACT, len(final), len(final), meter.nodes, final)
-    return SearchResult(BOUNDS, lower_total, len(final), meter.nodes, final)
 
-
-def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
-                       fooling_mask, meter):
-    """Branch-and-bound set cover of one color class.
+def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
+    """Branch-and-bound set cover of one color class by the rectangles
+    with the cell masks ``cell_masks``.
 
     A node with uncovered cells U is pruned when its uncovered fooling
     cells, or ceil(|U| / the largest coverage of U), show that it
@@ -358,19 +351,19 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
     small to.
 
     Returns (selection, completed): the best selection found (always a
-    valid cover of ``universe``) and whether minimality was proved
-    within the meter's budget.
+    valid cover of ``universe``, as indices into cell_masks) and whether
+    minimality was proved within the meter's budget.
     """
     best_sel = list(incumbent)
     best_size = len(incumbent)
-    if max(1, fooling_mask.bit_count()) >= best_size:
+    if fooling_mask.bit_count() >= best_size:
         return best_sel, True
 
     # Rectangles by descending size, ties by index: each cell's
     # candidates in branching order, and the masks the bound scans.
-    size = {i: cell_masks[i].bit_count() for i in rect_ids}
-    by_size = sorted(rect_ids, key=lambda i: (-size[i], i))
-    sized = [(size[i], cell_masks[i]) for i in by_size]
+    by_size = sorted(range(len(cell_masks)),
+                     key=lambda i: (-cell_masks[i].bit_count(), i))
+    sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
     cells = index_bits(universe)
     cand_by_cell = {cell: [] for cell in cells}
     for i in by_size:
@@ -398,8 +391,7 @@ def _exact_color_cover(universe, rect_ids, cell_masks, incumbent,
         if len(seen) < 1_000_000:
             seen[uncovered] = len(chosen)
         # Uncovered fooling cells each need their own rectangle.
-        need = (fooling_mask & uncovered).bit_count()
-        if len(chosen) + max(need, 1) >= best_size:
+        if len(chosen) + (fooling_mask & uncovered).bit_count() >= best_size:
             return
         # With k = best_size - len(chosen) >= 2 rectangles left to beat
         # the incumbent, ceil(|U| / maxcov) >= k exactly when no

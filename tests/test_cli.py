@@ -317,6 +317,18 @@ def test_report_xor_degenerate(tmp_path):
     assert ",true," in out.read_text().splitlines()[1]
 
 
+@pytest.mark.parametrize("sizes", [",", " , ,"])
+def test_report_without_sizes_is_user_error(sizes, tmp_path, capsys):
+    out = tmp_path / "none.csv"
+    assert run(["report", "--family", "eq", "--m", sizes, "--format", "csv",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
 def test_report_rerun_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["report", "--family", "random", "--m", "4,5", "--seed", "11",

@@ -5,9 +5,9 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    cover_number, enumerate_maximal_mono, exact_cc,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
-from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _greedy_cover,
-                              format_cover, format_rect, parse_cover,
-                              parse_rect)
+from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
+                              _greedy_cover, format_cover, format_rect,
+                              parse_cover, parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -253,7 +253,17 @@ def test_greedy_cover_first_best_pick():
         budget = max(1, len(full) // 3) if s % 2 else len(full)
         rects = enumerate_maximal_mono(f, budget=budget).rects
         want = _first_max_greedy(f, rects)
-        assert _greedy_cover(f, rects, [_cells(f, r) for r in rects]) == want
+        # The greedy covers each color alone: its picks and extras are the
+        # oracle's of that color, in order.
+        for color in (1, -1):
+            ids = [i for i, r in enumerate(rects) if r.color == color]
+            cells = sum(1 << (x * f.cols + y) for x in range(f.rows)
+                        for y in range(f.cols) if f.sign[x, y] == color)
+            picks, extra = _greedy_cover(f, cells, color,
+                                         [_cells(f, rects[i]) for i in ids])
+            assert [ids[i] for i in picks] == [
+                i for i in want[0] if rects[i].color == color]
+            assert extra == [r for r in want[1] if r.color == color]
         fallbacks += bool(want[1])
     assert fallbacks >= 10
 
@@ -274,6 +284,55 @@ def test_fooling_bound_sound():
     for s in range(10):
         f = random_sign(4, 4, 800 + s)
         assert fooling_set_bound(f) <= cover_number(f).value
+
+
+def test_cover_validates_once(monkeypatch):
+    import cclab.rectangles as rectangles
+
+    calls = []
+
+    def counted(f, cover):
+        calls.append(len(cover))
+        return validate_cover(f, cover)
+
+    monkeypatch.setattr(rectangles, "validate_cover", counted)
+    f = make_family("eq", 4)
+    for mode in (EXACT, "greedy"):
+        calls.clear()
+        res = cover_number(f, mode)
+        assert calls == [res.upper]
+
+
+def _scan_fooling_cells(f):
+    """The greedy fooling set by a row-major scan of the sign matrix:
+    (x, y, sign) of each cell that fits in no monochromatic rectangle
+    with a cell kept before it."""
+    sign = f.sign
+    kept = []
+    for x in range(f.rows):
+        for y in range(f.cols):
+            v = sign[x, y]
+            if not any(v == v2 and sign[x, y2] == v and sign[x2, y] == v
+                       for x2, y2, v2 in kept):
+                kept.append((x, y, int(v)))
+    return kept
+
+
+def test_fooling_cells_match_scan():
+    mats = [random_sign(1 + s // 9, 1 + s % 9, 1200 + s) for s in range(81)]
+    mats += [xor_power(make_family(fam, m), 2).lifted
+             for fam in ("eq", "gt", "and", "ip") for m in (2, 4)]
+    for f in mats:
+        want = _scan_fooling_cells(f)
+        assert fooling_set_bound(f) == len(want)
+        for color in (1, -1):
+            mask = _fooling_cells(f, color)
+            cells = [divmod(c, f.cols) for c in range(f.cells) if mask >> c & 1]
+            assert cells == [(x, y) for x, y, v in want if v == color]
+            for i, (x, y) in enumerate(cells):
+                assert f.sign[x, y] == color
+                for x2, y2 in cells[:i]:
+                    assert not (f.sign[x, y2] == color == f.sign[x2, y])
 
 
 # ----------------------------------------------------------- properties
