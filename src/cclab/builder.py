@@ -46,7 +46,6 @@ BASE_LEAF_FACTOR = 32  # distinct-row base case: <= 16 classes x 2 leaves
 class SplitDecision:
     """Outcome of the rank split on a monochromatic rectangle."""
 
-    rect: Rectangle
     side: str  # ALICE_SENDS | BOB_SENDS
     rank_row_block: int  # rank of [R A] = R's rows x all cols
     rank_col_block: int  # rank of [R; B] = all rows x R's cols
@@ -202,7 +201,7 @@ def choose_split(f: BoolFun, R: Rectangle) -> SplitDecision:
         raise InvariantError(
             f"no qualifying split: rank[R A]={rank_row}, "
             f"rank[R;B]={rank_col}, rank(f)={rk}")
-    return SplitDecision(rect=R, side=side, rank_row_block=rank_row,
+    return SplitDecision(side=side, rank_row_block=rank_row,
                          rank_col_block=rank_col, chosen_bound=bound)
 
 
@@ -272,32 +271,29 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             return low_rank_tree(cur_rows, cur_cols)
 
         rect, area_check = find_big_rectangle(sub, n, strategy, cover_value)
-        decision = choose_split(sub, rect)
-        if decision.side == ALICE_SENDS:
-            in_r = [cur_rows[i] for i in rect.row_set]
-            kept = set(in_r)
-            out_r = [r for r in cur_rows if r not in kept]
-            removed = len(in_r) * len(cur_cols)
-        else:
-            in_c = [cur_cols[i] for i in rect.col_set]
-            kept = set(in_c)
-            out_c = [c for c in cur_cols if c not in kept]
-            removed = len(in_c) * len(cur_rows)
+        side = choose_split(sub, rect).side
+        alice = side == ALICE_SENDS
+
+        def part(s):  # a set of the speaker's indices, as (rows, cols)
+            return (s, cur_cols) if alice else (cur_rows, s)
+
+        cur = cur_rows if alice else cur_cols
+        inside = tuple(cur[i] for i in (rect.row_set if alice else rect.col_set))
+        kept = set(inside)
+        outside = tuple(x for x in cur if x not in kept)
+        in_rows, in_cols = part(inside)
+        removed = len(in_rows) * len(in_cols)
         shrink_check = None
         if cover_value is not None:
             shrink_check = _area_guarantee(removed, cells, cover_value, n)
         steps.append(BuildStep(
-            "split", sub.rows, sub.cols, rk, side=decision.side,
+            "split", sub.rows, sub.cols, rk, side=side,
             rect_area=rect.area, removed_cells=removed,
             area_check=area_check, shrink_check=shrink_check))
 
-        if decision.side == ALICE_SENDS:
-            child1 = rec(tuple(in_r), cur_cols, rsteps + 1, ssteps)
-            child0 = rec(tuple(out_r), cur_cols, rsteps, ssteps + 1)
-            return Node(ALICE, frozenset(in_r), child0, child1)
-        child1 = rec(cur_rows, tuple(in_c), rsteps + 1, ssteps)
-        child0 = rec(cur_rows, tuple(out_c), rsteps, ssteps + 1)
-        return Node(BOB, frozenset(in_c), child0, child1)
+        child1 = rec(in_rows, in_cols, rsteps + 1, ssteps)
+        child0 = rec(*part(outside), rsteps, ssteps + 1)
+        return Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
 
     root_d = rec(tuple(range(fd.rows)), tuple(range(fd.cols)), 0, 0)
 

@@ -298,10 +298,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except ParseError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (ValueError, CapacityError, StructureError, OSError,
+    except (ParseError, ValueError, CapacityError, StructureError, OSError,
             json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1

@@ -113,13 +113,14 @@ def _argmax_tied_lex(items):
 
 @dataclass(frozen=True)
 class ExtractionCertificate:
-    """Exact record of one extraction, re-verified with big integers.
+    """Exact record of one extraction.
 
     i, x_prefix, y_suffix, u and v are the tuple fixed during
     extraction: coordinate i (1-based), the fixed x-prefix and y-suffix,
-    and the parity bits u, v.  size_check is the integer form
-    (4|T|)**n >= |R| of the guarantee |T| >= 2**(k/n - 2) with
-    k = log2 |R|.
+    and the parity bits u, v.  Every certificate returned has passed
+    the integer check (4*t_size)**n >= r_size, the form of the guarantee
+    |T| >= 2**(k/n - 2) with k = log2 |R|; a failing check raises
+    InvariantError instead.
     """
 
     i: int
@@ -131,14 +132,9 @@ class ExtractionCertificate:
     t_size: int
     color: int
     n: int
-    size_check: bool
     coordinate_entropies: tuple  # H(X_i Y_i | X_<i Y_>i) for each i
     stage2_entropy: float        # H(X_i Y_i | x_<i, y_>i)
     stage3_entropy: float        # H(X_i Y_i | x_<i, y_>i, u, v)
-
-    @property
-    def holds(self) -> bool:
-        return self.size_check
 
     def as_record(self) -> dict:
         return {
@@ -150,8 +146,7 @@ class ExtractionCertificate:
             "R_size": self.r_size,
             "T_size": self.t_size,
             "color": self.color,
-            "check": f"(4*{self.t_size})^{self.n} >= {self.r_size}: "
-                     f"{'pass' if self.size_check else 'FAIL'}",
+            "check": f"(4*{self.t_size})^{self.n} >= {self.r_size}: pass",
         }
 
 
@@ -178,6 +173,13 @@ def _grouped_cond_entropy(groups) -> float:
     return h / total
 
 
+def _best_group(groups):
+    """(key, entropy) of the group whose counter has the largest
+    entropy; ties go to the smallest key."""
+    return _argmax_tied_lex((key, _entropy_of_counts(c.values()))
+                            for key, c in sorted(groups.items()))
+
+
 def extract_rectangle(lift: LiftedFun, R: Rectangle):
     """From a monochromatic rectangle R of lift.lifted, extract a
     monochromatic rectangle T of the base function.
@@ -197,63 +199,44 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
             f"{R.col_set[0]})")
     n = lift.n
     base = lift.base
-
-    if n == 1:
-        cert = ExtractionCertificate(
-            i=1, x_prefix=(), y_suffix=(), u=0, v=0,
-            r_size=R.area, t_size=R.area, color=color, n=1, size_check=True,
-            coordinate_entropies=(math.log2(R.area),),
-            stage2_entropy=math.log2(R.area),
-            stage3_entropy=math.log2(R.area))
-        return Rectangle(R.row_set, R.col_set, color=color), cert
-
     xs = [lift.row_codec.decode(r) for r in R.row_set]
     ys = [lift.col_codec.decode(c) for c in R.col_set]
 
     # Stage 1: pick the coordinate with maximal H(X_i Y_i | X_<i Y_>i).
     # X and Y are independent across a rectangle, so the conditional
     # entropy splits into an X part and a Y part.
-    coord_h = []
-    for i in range(n):
-        hx = _grouped_cond_entropy(_side_groups(xs, i, True))
-        hy = _grouped_cond_entropy(_side_groups(ys, i, False))
-        coord_h.append(hx + hy)
+    coord_h = [_grouped_cond_entropy(_side_groups(xs, i, True))
+               + _grouped_cond_entropy(_side_groups(ys, i, False))
+               for i in range(n)]
     i_star, _ = _argmax_tied_lex(enumerate(coord_h))
 
     # Stage 2: pick the fixed prefix/suffix maximizing the conditional
     # entropy.  The objective separates, so maximize each side alone.
-    xgroups = _side_groups(xs, i_star, True)
-    ygroups = _side_groups(ys, i_star, False)
-    p_star, hx2 = _argmax_tied_lex(
-        (p, _entropy_of_counts(c.values())) for p, c in sorted(xgroups.items()))
-    s_star, hy2 = _argmax_tied_lex(
-        (s, _entropy_of_counts(c.values())) for s, c in sorted(ygroups.items()))
+    p_star, hx2 = _best_group(_side_groups(xs, i_star, True))
+    s_star, hy2 = _best_group(_side_groups(ys, i_star, False))
     stage2 = hx2 + hy2
 
     # Stage 3: inside the chosen groups, condition on the parity bits
     # u (xor of f over the fixed x-prefix against the random y-coords)
     # and v (xor of f over the random x-coords against the fixed
     # y-suffix).  Empty xors at the boundaries are fixed to 0.
-    x_pool = [t for t in xs if t[:i_star] == p_star]
-    y_pool = [t for t in ys if t[i_star + 1:] == s_star]
-
     by_v = defaultdict(Counter)
-    for t in x_pool:
-        v_bit = 0
-        for j in range(i_star + 1, n):
-            v_bit ^= base.f_value(t[j], s_star[j - i_star - 1])
-        by_v[v_bit][t[i_star]] += 1
+    for t in xs:
+        if t[:i_star] == p_star:
+            v_bit = 0
+            for x, y in zip(t[i_star + 1:], s_star):
+                v_bit ^= base.f_value(x, y)
+            by_v[v_bit][t[i_star]] += 1
     by_u = defaultdict(Counter)
-    for t in y_pool:
-        u_bit = 0
-        for j in range(i_star):
-            u_bit ^= base.f_value(p_star[j], t[j])
-        by_u[u_bit][t[i_star]] += 1
+    for t in ys:
+        if t[i_star + 1:] == s_star:
+            u_bit = 0
+            for x, y in zip(p_star, t):
+                u_bit ^= base.f_value(x, y)
+            by_u[u_bit][t[i_star]] += 1
 
-    v_star, hx3 = _argmax_tied_lex(
-        (v, _entropy_of_counts(c.values())) for v, c in sorted(by_v.items()))
-    u_star, hy3 = _argmax_tied_lex(
-        (u, _entropy_of_counts(c.values())) for u, c in sorted(by_u.items()))
+    v_star, hx3 = _best_group(by_v)
+    u_star, hy3 = _best_group(by_u)
     stage3 = hx3 + hy3
 
     t_rows = tuple(sorted(by_v[v_star]))
@@ -265,15 +248,13 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
     if check_monochromatic(base, T) != t_color:
         raise InvariantError("extracted support is not monochromatic in the base")
     t_size = len(t_rows) * len(t_cols)
-    size_check = (4 * t_size) ** n >= R.area
-    if not size_check:
+    if (4 * t_size) ** n < R.area:
         raise InvariantError(
             f"size certificate failed: (4*{t_size})^{n} < {R.area}")
 
     cert = ExtractionCertificate(
         i=i_star + 1, x_prefix=p_star, y_suffix=s_star, u=u_star, v=v_star,
         r_size=R.area, t_size=t_size, color=t_color, n=n,
-        size_check=size_check,
         coordinate_entropies=tuple(coord_h),
         stage2_entropy=stage2, stage3_entropy=stage3)
     return T, cert

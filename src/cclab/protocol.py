@@ -81,25 +81,28 @@ class ProtocolTree:
                 f"leaves={self.leaf_count} depth={self.depth}>")
 
 
+def _branch(node, rx, ry, bit):
+    """The inputs of rx x ry that take branch bit at node: the
+    speaker's side cut to the subset (bit 1) or to the rest (bit 0)."""
+    if node.speaker == ALICE:
+        return (rx & node.subset if bit else rx - node.subset), ry
+    return rx, (ry & node.subset if bit else ry - node.subset)
+
+
 def _check(node, rx, ry):
     if isinstance(node, Leaf):
-        if node.output not in (0, 1):
+        if not _is_int(node.output) or node.output not in (0, 1):
             raise StructureError(f"leaf output must be 0 or 1, got {node.output}")
         return 1, 0
     if not isinstance(node, Node):
         raise StructureError(f"not a tree node: {node!r}")
     if node.speaker not in (ALICE, BOB):
         raise StructureError(f"unknown speaker {node.speaker!r}")
-    side = rx if node.speaker == ALICE else ry
-    if not node.subset <= side:
+    if not node.subset <= (rx if node.speaker == ALICE else ry):
         raise StructureError(
             "predicate is not a subset of the inputs reaching its node")
-    if node.speaker == ALICE:
-        l1, d1 = _check(node.child1, node.subset, ry)
-        l0, d0 = _check(node.child0, rx - node.subset, ry)
-    else:
-        l1, d1 = _check(node.child1, rx, node.subset)
-        l0, d0 = _check(node.child0, rx, ry - node.subset)
+    l1, d1 = _check(node.child1, *_branch(node, rx, ry, 1))
+    l0, d0 = _check(node.child0, *_branch(node, rx, ry, 0))
     return l1 + l0, 1 + max(d1, d0)
 
 
@@ -145,18 +148,15 @@ def _simplify(node, rx, ry):
         return Leaf(0)
     if isinstance(node, Leaf):
         return node
-    side = rx if node.speaker == ALICE else ry
-    s1 = side & node.subset
-    s0 = side - node.subset
-    if not s1:
+    rx1, ry1 = _branch(node, rx, ry, 1)
+    rx0, ry0 = _branch(node, rx, ry, 0)
+    if not (rx1 and ry1):
         return _simplify(node.child0, rx, ry)
-    if not s0:
+    if not (rx0 and ry0):
         return _simplify(node.child1, rx, ry)
-    if node.speaker == ALICE:
-        return Node(ALICE, s1, _simplify(node.child0, s0, ry),
-                    _simplify(node.child1, s1, ry))
-    return Node(BOB, s1, _simplify(node.child0, rx, s0),
-                _simplify(node.child1, rx, s1))
+    return Node(node.speaker, rx1 if node.speaker == ALICE else ry1,
+                _simplify(node.child0, rx0, ry0),
+                _simplify(node.child1, rx1, ry1))
 
 
 def _leaf_total(node) -> int:
@@ -205,10 +205,7 @@ def _balance_rec(node, rx, ry):
 
     sa, sb = rx, ry
     for anc, bit in path:
-        if anc.speaker == ALICE:
-            sa = sa & anc.subset if bit else sa - anc.subset
-        else:
-            sb = sb & anc.subset if bit else sb - anc.subset
+        sa, sb = _branch(anc, sa, sb, bit)
 
     def residual(crx, cry):
         if not crx or not cry:
@@ -339,6 +336,8 @@ def _node_from_obj(obj):
     if not isinstance(obj, dict):
         raise StructureError("tree node must be an object")
     if "output" in obj:
+        if obj.keys() & {"speaker", "subset", "child0", "child1"}:
+            raise StructureError("tree leaf must not hold node fields")
         return Leaf(output=obj["output"])
     try:
         subset = obj["subset"]

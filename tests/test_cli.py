@@ -222,6 +222,50 @@ def test_build_balance_verify_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+# SHA-256 of the protocol file, its trace and the balanced protocol of
+# `build` then `balance`.  The direct builds of ip8, eq12 and random
+# 16x16 seed 1 split on both sides; the lifts split on one side each.
+CONSTRUCTION_PINS = (
+    (["--family", "ip", "--m", "8"],
+     "c84f4e2fc385dbd9a6587c2a0b72c666cbe440078e8bc05b62f4de03264aec52",
+     "a3889a0821baf0fa6cee84f63a989ced8bb6218cda910bd68433f08be40d9f10",
+     "d41349d39dfd08c0e2fad126c86277b775b2c5ec9d3ddcd749ca6eaf88d69284"),
+    (["--family", "eq", "--m", "12"],
+     "a0a46af4f9f05071a320b67ef14204c9e757459b2240df9dcf9650fc6d48b7e6",
+     "71c996944d9a0014ef36d819d9498c3e5310a8a4b80541de99811c29f65f8f42",
+     "39a24f4c168ab0e422be65cadedddd6ba08ad314cd95e7791e6cad3bcc16d51b"),
+    (["--family", "random", "--m", "16", "--seed", "1"],
+     "0fe02f03eefdc2bfa1d28477906ff01da7f78d5ace10c521253f8d2a4023c50c",
+     "65634ad9099dbd46e51d27d3f88f8784bf58c43dab992243690617d092f6bead",
+     "f5a2822aa3ab3c4f1c455bab296f7baeb0afcc89febc34101fe8159ca43dd63b"),
+    (["--family", "random", "--m", "6", "--seed", "4",
+      "--strategy", "lift", "--n", "2"],
+     "ea80bb58dc07ed8c356a29184752c184948db7950a25185dc0f2a5d99fc8315a",
+     "60e6748fd0573b5051a5006270a7b739c99be39b139851c31c4e614d79a972f7",
+     "c3d0d2f89e3593dadeb4446cf781ec0f5f9ffc75d69733f99629f51189688c5e"),
+    (["--family", "gt", "--m", "5", "--strategy", "lift", "--n", "2"],
+     "ac01cc39ff258fc21604cca4ba29f9b7164ffa4e7b04957babd68ca1d3baef8f",
+     "441aed3b43498c867a623ae7506c84d0ab7bff87878775a1e6d661d759f9d1e9",
+     "be9f530611fce0bfc2122f215da6a206edb8cced24aabd598b335f680baa6c45"),
+    (["--family", "eq", "--m", "4", "--mode", "exact"],
+     "652632160c222c4adac4476aee16918e76ba73bbb1aa1a1582e7bac2ce1e705d",
+     "257599f7c535cb504ad8e0f96161bab8ddd2e84a7f444d9794796faa2f968358",
+     "9feafaec14bcad26e3d849d24ed14f7136454852517dc7c6442ac7456bb67eea"),
+)
+
+
+def test_construction_outputs_pinned(tmp_path, capsys):
+    for flags, *pins in CONSTRUCTION_PINS:
+        proto = tmp_path / "p.json"
+        bal = tmp_path / "b.json"
+        assert run(["build", *flags, "--out", str(proto)]) == 0
+        assert run(["balance", "--in", str(proto), "--out", str(bal)]) == 0
+        files = (proto, tmp_path / "p.json.trace.json", bal)
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in files] == pins, flags
+    capsys.readouterr()
+
+
 def test_build_without_out_fails_before_building(monkeypatch, capsys):
     import cclab.cli as cli
 
@@ -292,6 +336,40 @@ def test_protocol_file_wrong_types_are_user_errors(tmp_path, capsys):
             assert run(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_protocol_file_bad_leaves_are_user_errors(tmp_path, capsys):
+    # A leaf is {"output": 0 or 1}.  true and 1.0 must not pass as
+    # outputs, nor may a leaf carry node fields (their children would be
+    # dropped unread).
+    def eq2_file(one):  # a protocol file for eq2, `one` at each 1-leaf
+        def bob(y):
+            return {"speaker": "bob", "subset": [y],
+                    "child0": {"output": 0}, "child1": one}
+        tree = {"speaker": "alice", "subset": [0], "child0": bob(1),
+                "child1": bob(0)}
+        path = tmp_path / "proto.json"
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "tree": tree}))
+        return path
+
+    src = tmp_path / "eq2.bfn"
+    run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
+    assert run(["verify", "--in", str(eq2_file({"output": 1})),
+                "--matrix", str(src)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    for one in ({"output": True}, {"output": 1.0},
+                {"output": 1, "speaker": "bob", "subset": [0],
+                 "child0": {"output": 0}, "child1": {"output": 1}}):
+        proto = eq2_file(one)
+        for argv in (["balance", "--in", str(proto), "--out", str(out)],
+                     ["verify", "--in", str(proto), "--matrix", str(src),
+                      "--out", str(out)]):
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
 

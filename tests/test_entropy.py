@@ -73,14 +73,17 @@ def test_conditioning_cannot_increase_entropy():
 # ----------------------------------------------------------- extraction
 
 def test_extract_n1_returns_rectangle_unchanged():
-    f = make_family("eq", 3)
-    lift = xor_power(f, 1)
-    r = Rectangle((0, 1), (2,))
-    t, cert = extract_rectangle(lift, r)
-    assert t.row_set == r.row_set and t.col_set == r.col_set
-    assert t.color == 1
-    assert cert.i == 1 and cert.x_prefix == () and cert.u == cert.v == 0
-    assert cert.holds and cert.t_size == cert.r_size
+    bases = (list(all_sign_matrices(2, 2)) + list(all_sign_matrices(2, 3))
+             + [random_sign(3, 3, 3000 + seed) for seed in range(40)])
+    for f in bases:
+        lift = xor_power(f, 1)
+        for r in enumerate_maximal_mono(lift.lifted).rects:
+            t, cert = extract_rectangle(lift, r)
+            color = check_monochromatic(f, r)
+            assert t == Rectangle(r.row_set, r.col_set, color=color)
+            assert cert.i == 1 and cert.u == cert.v == 0
+            assert cert.x_prefix == () and cert.y_suffix == ()
+            assert cert.t_size == cert.r_size == r.area
 
 
 def test_extract_guarantee_k6_n2():
@@ -109,7 +112,6 @@ def test_extract_eq2_exhaustive_over_maximal_rects():
         t, cert = extract_rectangle(lift, r)
         assert check_monochromatic(f, t) == t.color
         assert (4 * cert.t_size) ** 2 >= r.area
-        assert cert.holds
 
 
 def _exhaustive_extract_checks(f, n):
@@ -131,8 +133,6 @@ def _exhaustive_extract_checks(f, n):
 
 
 def _check_product_support(f, lift, r, t, cert):
-    if lift.n == 1:
-        return
     i = cert.i - 1
     xs = [lift.row_codec.decode(v) for v in r.row_set]
     ys = [lift.col_codec.decode(v) for v in r.col_set]

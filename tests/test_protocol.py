@@ -71,8 +71,9 @@ def test_structure_predicate_outside_reachable():
 def test_structure_bad_speaker_and_output():
     with pytest.raises(StructureError):
         ProtocolTree(Node("carol", frozenset([0]), Leaf(0), Leaf(1)), 2, 2)
-    with pytest.raises(StructureError):
-        ProtocolTree(Leaf(2), 2, 2)
+    for output in (2, True, False, 1.0, 0.0, None):
+        with pytest.raises(StructureError):
+            ProtocolTree(Leaf(output), 2, 2)
 
 
 def test_structure_deep_chain_is_structure_error():
@@ -116,6 +117,16 @@ def test_tree_from_obj_errors():
     for rows in ("2", 2.0, None, [2]):
         with pytest.raises(StructureError):
             tree_from_obj({"rows": rows, "cols": 2, "tree": {"output": 0}})
+    for output in (True, False, 1.0, 0.0, "1"):
+        with pytest.raises(StructureError):
+            tree_from_obj({"rows": 2, "cols": 2, "tree": {"output": output}})
+    # A record holding an output and any node field is an error, not a
+    # leaf whose children are dropped.
+    full = dict(node, subset=[0])
+    for extra in [{key: value} for key, value in full.items()] + [full]:
+        with pytest.raises(StructureError):
+            tree_from_obj({"rows": 2, "cols": 2,
+                           "tree": dict(extra, output=1)})
     assert tree_from_obj({"rows": 2, "cols": 2,
                           "tree": dict(node, subset=[0])}).leaf_count == 2
 
