@@ -115,6 +115,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+# parse_args fills a fresh namespace on every call and _Parser.error
+# raises, so one parser serves every call of main.
+_PARSER = _build_parser()
+
+
 def _limits(args) -> SearchLimits:
     base = SearchLimits()
     env = os.environ.get("CCLAB_LIMITS")
@@ -132,8 +137,16 @@ def _load_input(args) -> BoolFun:
         return read_bfn(args.in_path)
     if not args.m:
         raise ValueError("--family requires --m")
-    return make_family(args.family, int(args.m), seed=args.seed,
+    return make_family(args.family, _size(args.m), seed=args.seed,
                        const_value=args.value)
+
+
+def _size(tok: str) -> int:
+    """One --m size, as an int; any other token is a user error."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"--m: {tok.strip()!r} is not an integer") from None
 
 
 def _fmt(v) -> str:
@@ -272,7 +285,7 @@ def _cmd_report(args) -> int:
     if not args.family or not args.m:
         raise ValueError("report requires --family and --m (comma list allowed)")
     limits = _limits(args)
-    sizes = [int(tok) for tok in str(args.m).split(",") if tok.strip()]
+    sizes = [_size(tok) for tok in str(args.m).split(",") if tok.strip()]
     if not sizes:
         raise ValueError(f"--m {args.m!r} lists no sizes")
     rows = []
@@ -294,9 +307,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ParseError, ValueError, CapacityError, StructureError, OSError,
             json.JSONDecodeError) as e:

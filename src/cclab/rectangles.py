@@ -7,14 +7,17 @@ cells of its own color only, so the cover is two independent set
 covers, one per color.  Each color's cover is greedy, or exact by
 branch-and-bound over that color's maximal rectangles (greedy
 incumbent, the coverage bound tested as a threshold on the rectangles
-sorted by size).  Each color's lower bound is its greedy fooling set,
-until its search finishes; the one mask prunes the search and gives the
-reported lower bound.  The answer is a ``limits.SearchResult`` whose
-cover is a tuple of Rectangles in lexicographic order of (row_set,
-col_set).  One Close-by-One search over the columns
-(Kuznetsov 1993) finds the closed (maximal) monochromatic rectangles:
-it enumerates them all, and with an area bound it finds a maximum-area
-one, since every maximum-area rectangle is closed.
+sorted by size, by a Python loop over the first ones and one numpy
+step over the rest; each node branches on the candidates that no other
+dominates, found by testing them maximal-first).  Each color's lower
+bound is its greedy fooling set, until its search finishes; the one
+mask prunes the search and gives the reported lower bound.  The
+answer is a ``limits.SearchResult`` whose cover is a tuple of
+Rectangles in lexicographic order of (row_set, col_set).  One
+Close-by-One search over the columns (Kuznetsov 1993) finds the closed
+(maximal) monochromatic rectangles: it enumerates them all, and with an
+area bound it finds a maximum-area one, since every maximum-area
+rectangle is closed.
 
 Determinism: every search breaks ties lexicographically, results are
 identical across runs for the same inputs and limits.  Subsets are
@@ -25,6 +28,7 @@ manipulated as Python integer bitmasks internally, read from
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,6 +343,41 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     return SearchResult(status, lower, len(cover), meter.nodes, cover)
 
 
+# The coverage bound reads at most this many rectangles in a Python loop
+# before it counts the rest in one numpy step.  A Python read costs about
+# 0.1 us; a numpy step about 5 us plus 0.04 us a rectangle (a 729-cell
+# lift on a 2-vCPU Xeon), so a step pays only where the loop would read
+# hundreds.  Most nodes decide within a few reads, and a color with at
+# most this many rectangles never pays the step's fixed cost.
+_SCAN_HEAD = 256
+
+
+def _undominated(covs) -> list:
+    """Indices of the coverages ``covs`` that no other one dominates, in
+    ascending order.  Mask j dominates mask i when i's cells lie inside
+    j's and the two differ, or are equal with j < i.
+
+    Domination is transitive, so a dominated mask lies inside some
+    undominated one; and a dominator is at least as large, earlier on
+    equal masks.  Visiting the masks by size, descending, ties by index,
+    each is therefore tested only against the undominated ones so far.
+    """
+    kept = []
+    kept_masks = []
+    neg_sizes = [-c.bit_count() for c in covs]
+    # sorted is stable: masks of equal size stay in index order.
+    for i in sorted(range(len(covs)), key=neg_sizes.__getitem__):
+        c = covs[i]
+        for m in kept_masks:
+            if c | m == m:
+                break
+        else:
+            kept.append(i)
+            kept_masks.append(c)
+    kept.sort()
+    return kept
+
+
 def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     """Branch-and-bound set cover of one color class by the rectangles
     with the cell masks ``cell_masks``.
@@ -346,9 +385,14 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     A node with uncovered cells U is pruned when its uncovered fooling
     cells, or ceil(|U| / the largest coverage of U), show that it
     cannot beat the incumbent.  The coverage bound is tested as a
-    threshold on the rectangles sorted by descending size, so the scan
-    stops at the first rectangle that covers enough of U or is too
-    small to.
+    threshold t on the rectangles sorted by descending size: a
+    rectangle covers at most its area, so only the prefix of area >= t
+    can reach t.  A Python loop reads the first ``_SCAN_HEAD`` of them
+    and stops at the first that covers t cells of U or is too small to;
+    when these cannot decide, one numpy step counts the coverage of the
+    rest of the prefix.  A node branches on the rectangles through one
+    uncovered cell, minus those whose coverage of U is dominated by
+    another's (``_undominated``): the other is always at least as good.
 
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``, as indices into cell_masks) and whether
@@ -364,6 +408,14 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
     sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
+    # The loop's head; the rectangles past it, as rows of 64-bit words;
+    # and every rectangle's negated area, ascending, to find a prefix's end.
+    head = sized[:_SCAN_HEAD]
+    n_words = (universe.bit_length() + 63) // 64
+    neg_areas = [-area for area, _ in sized]
+    tail = np.frombuffer(b"".join(m.to_bytes(8 * n_words, "little")
+                                  for _, m in sized[_SCAN_HEAD:]),
+                         dtype="<u8").reshape(-1, n_words)
     cells = index_bits(universe)
     cand_by_cell = {cell: [] for cell in cells}
     for i in by_size:
@@ -398,30 +450,25 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A
         # rectangle smaller than t cannot, nor can any after it.
         t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
-        for area, m in sized:
+        for area, m in head:
             if area < t:
                 return
             if (m & uncovered).bit_count() >= t:
                 break
         else:
-            return
+            end = bisect_right(neg_areas, -t) - _SCAN_HEAD
+            if end <= 0:
+                return
+            u = np.frombuffer(uncovered.to_bytes(8 * n_words, "little"),
+                              dtype="<u8")
+            if np.bitwise_count(tail[:end] & u).sum(axis=1).max() < t:
+                return
         cell = next(c for c in cell_order if uncovered >> c & 1)
         cands = cand_by_cell[cell]
-        # Dominance: drop a candidate whose remaining coverage sits inside
-        # another candidate's (the dominator is always at least as good;
-        # on equal coverage keep the earlier index).
         covs = [cell_masks[i] & uncovered for i in cands]
-        for a, ridx in enumerate(cands):
-            ca = covs[a]
-            dominated = False
-            for b, cb in enumerate(covs):
-                if a != b and ca | cb == cb and (ca != cb or b < a):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            chosen.append(ridx)
-            rec(uncovered & ~ca, chosen)
+        for j in _undominated(covs):
+            chosen.append(cands[j])
+            rec(uncovered & ~covs[j], chosen)
             chosen.pop()
 
     try:
@@ -434,7 +481,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # tables alive until the cyclic garbage collector runs.
         seen.clear()
         cand_by_cell.clear()
-        sized.clear()
+        head.clear()
+        neg_areas.clear()
 
 
 # ---------------------------------------------------------------------------

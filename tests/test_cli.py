@@ -407,6 +407,37 @@ def test_report_without_sizes_is_user_error(sizes, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["report", "--family", "eq", "--m", "2,x"],
+    ["measure", "--family", "eq", "--m", "x"],
+])
+def test_bad_size_names_the_flag(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --m: 'x' is not an integer\n"
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # One parser serves every call of main: a flag given to one call
+    # must not carry over to the next.
+    eq4 = ["measure", "--family", "eq", "--m", "4"]
+    assert run(eq4 + ["--mode", "greedy"]) == 2
+    assert "C_status: bounds" in capsys.readouterr().out
+    assert run(eq4) == 0
+    assert "C_status: exact" in capsys.readouterr().out
+    eq2 = ["report", "--family", "eq", "--m", "2"]
+    assert run(eq2 + ["--n", "2"]) == 0
+    assert "n: 2" in capsys.readouterr().out.splitlines()
+    assert run(eq2) == 0
+    assert "n: 1" in capsys.readouterr().out.splitlines()
+    assert run(eq4 + ["--zap"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_report_rerun_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["report", "--family", "random", "--m", "4,5", "--seed", "11",

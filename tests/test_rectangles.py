@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,10 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    cover_number, enumerate_maximal_mono, exact_cc,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
+from cclab import rectangles
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
-                              _greedy_cover, format_cover, format_rect,
-                              parse_cover, parse_rect)
+                              _greedy_cover, _undominated, format_cover,
+                              format_rect, parse_cover, parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -215,6 +219,59 @@ def test_cover_search_counts_every_visit():
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 19, 28, 30002)
+    # gt3^3's colors have 828 and 2,060 rectangles, so the coverage bound
+    # also counts coverage past the Python scan's head.
+    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
+                                                    rect_budget=100000))
+    assert (res.status, res.lower, res.upper, res.nodes) == (
+        BOUNDS, 19, 57, 3002)
+    keys = repr([r.key() for r in res.cover]).encode()
+    assert hashlib.sha256(keys).hexdigest() == (
+        "6f4600b63e5474557b9690f1c54f2b1445274194c0d289b24eaad177518a3244")
+
+
+@pytest.mark.parametrize("head", [0, 7])
+def test_cover_bound_stages_decide_alike(head, monkeypatch):
+    # Moving rectangles from the Python scan to the numpy step changes
+    # no decision: same nodes, bounds and cover.
+    cases = [(make_family("eq", 8), None),
+             (xor_power(make_family("gt", 3), 3).lifted,
+              SearchLimits(node_budget=500, rect_budget=100000))]
+    want = [cover_number(f, limits=lim) for f, lim in cases]
+    monkeypatch.setattr(rectangles, "_SCAN_HEAD", head)
+    assert [cover_number(f, limits=lim) for f, lim in cases] == want
+
+
+def _undominated_pairwise(covs):
+    """Mask i is kept unless some other mask j contains it and differs
+    from it, or equals it with j < i."""
+    return [i for i, a in enumerate(covs)
+            if not any(j != i and a | b == b and (a != b or j < i)
+                       for j, b in enumerate(covs))]
+
+
+def test_undominated_matches_pairwise_definition():
+    # A candidate covers the cell the node branches on, so no mask is 0.
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        bits = rng.choice([4, 8, 16])
+        covs = [rng.getrandbits(bits) | 1 for _ in range(n)]
+        assert _undominated(covs) == _undominated_pairwise(covs), covs
+    for _ in range(200):
+        # Nested chains and repeated equal masks, shuffled: the earlier of
+        # equal masks wins, and a mask under a dominated one is dropped.
+        covs = []
+        for _ in range(rng.randint(1, 6)):
+            m = rng.getrandbits(12) | 1
+            for _ in range(rng.randint(1, 5)):
+                covs += [m] * rng.randint(1, 3)
+                m &= rng.getrandbits(12) | 1
+        rng.shuffle(covs)
+        covs = covs[:40]
+        assert _undominated(covs) == _undominated_pairwise(covs), covs
+    assert _undominated([3, 3, 1, 7, 7]) == [3]
 
 
 def _cells(f, r):
