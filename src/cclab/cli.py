@@ -28,8 +28,9 @@ from .builder import (DIRECT_MAX, LIFT_EXTRACT, build_protocol,
                       theorem_report)
 from .errors import CapacityError, ParseError, StructureError
 from .limits import SearchLimits
-from .matrix import (BoolFun, distinct_col_count, distinct_row_count,
-                     format_bfn, make_family, rank, read_bfn, xor_power)
+from .matrix import (FAMILIES, BoolFun, distinct_col_count,
+                     distinct_row_count, format_bfn, make_family, rank,
+                     read_bfn, xor_power)
 from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
                        first_mismatch, tree_from_obj, tree_to_obj)
 from .rectangles import EXACT, cover_number, read_rect
@@ -55,8 +56,7 @@ def _build_parser() -> _Parser:
 
     # The flags shared by some commands, each given only where it is read.
     def family(sp):
-        sp.add_argument("--family", choices=["xor", "and", "eq", "gt", "ip",
-                                             "random", "const"])
+        sp.add_argument("--family", choices=FAMILIES)
         sp.add_argument("--m", help="family size (report: comma list)")
         sp.add_argument("--seed", type=int, help="seed for random family")
         sp.add_argument("--value", type=int, choices=[0, 1],

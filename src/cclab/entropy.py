@@ -1,4 +1,4 @@
-"""Shannon-entropy utilities and entropy-based rectangle extraction.
+"""Entropy-based rectangle extraction.
 
 The extraction takes a monochromatic rectangle R of a lifted function
 f^(+n) and produces a monochromatic rectangle T of the base f with a
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,59 +28,6 @@ from .matrix import LiftedFun
 from .rectangles import Rectangle, check_monochromatic
 
 TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FiniteDist:
-    """A finite distribution with exact rational probabilities.
-
-    Entropy is evaluated in double precision at query time; the
-    probabilities themselves stay exact.
-    """
-
-    outcomes: tuple  # ((value, Fraction), ...)
-
-    def __post_init__(self):
-        vals = [v for v, _ in self.outcomes]
-        if len(set(vals)) != len(vals):
-            raise ValueError("support values must be distinct")
-        total = Fraction(0)
-        for _, p in self.outcomes:
-            if not isinstance(p, Fraction):
-                raise ValueError("probabilities must be Fractions")
-            if p < 0:
-                raise ValueError("probabilities must be non-negative")
-            total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    @classmethod
-    def uniform(cls, values) -> "FiniteDist":
-        values = list(values)
-        return cls(tuple((v, Fraction(1, len(values))) for v in values))
-
-
-def entropy(d: FiniteDist) -> float:
-    """Shannon entropy in bits."""
-    return _entropy_of_counts([p for _, p in d.outcomes])
-
-
-def cond_entropy(joint: dict) -> float:
-    """H(A|B) for a joint table {(a, b): probability or count}.
-
-    Weights may be any non-negative numbers; they are normalized.
-    """
-    if not joint:
-        raise ValueError("joint table must be non-empty")
-    total = sum(joint.values())
-    if total <= 0:
-        raise ValueError("joint table must have positive mass")
-    groups = defaultdict(Counter)
-    for (a, b), w in joint.items():
-        if w < 0:
-            raise ValueError("weights must be non-negative")
-        groups[b][a] += w
-    return _grouped_cond_entropy(groups)
 
 
 def _entropy_of_counts(counts) -> float:

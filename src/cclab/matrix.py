@@ -52,16 +52,11 @@ def splitmix64(seed: int):
 
 
 class BoolFun:
-    """A total Boolean function on [rows] x [cols], held as a +-1 sign matrix.
+    """A total Boolean function on [rows] x [cols], held as a +-1 sign matrix."""
 
-    ``row_map``/``col_map`` record provenance when the function is a
-    restriction of a parent function (local index -> parent index);
-    they are None for top-level functions.
-    """
+    __slots__ = ("sign", "label", "_bits")
 
-    __slots__ = ("sign", "label", "row_map", "col_map", "_bits")
-
-    def __init__(self, sign, label="", row_map=None, col_map=None):
+    def __init__(self, sign, label=""):
         arr = np.asarray(sign, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sign matrix must be 2-D and non-empty")
@@ -72,8 +67,6 @@ class BoolFun:
         arr.flags.writeable = False
         self.sign = arr
         self.label = label
-        self.row_map = None if row_map is None else tuple(row_map)
-        self.col_map = None if col_map is None else tuple(col_map)
         self._bits = None
 
     @property
@@ -159,7 +152,7 @@ def _group(masks, members: int, within: int) -> list:
 
 @dataclass(frozen=True)
 class IndexCodec:
-    """Mixed-radix bijection between n-tuples and flat indices.
+    """Mixed-radix decoding of flat indices into n-tuples.
 
     The first coordinate is most significant, which makes the Kronecker
     power of the sign matrix literally equal to the lifted matrix.
@@ -167,16 +160,6 @@ class IndexCodec:
 
     radix: int
     n: int
-
-    def encode(self, t) -> int:
-        if len(t) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(t)}")
-        flat = 0
-        for v in t:
-            if not 0 <= v < self.radix:
-                raise ValueError(f"coordinate {v} out of range [0, {self.radix})")
-            flat = flat * self.radix + v
-        return flat
 
     def decode(self, flat: int) -> tuple:
         if not 0 <= flat < self.radix ** self.n:
@@ -343,10 +326,8 @@ def distinct_col_count(f: BoolFun) -> int:
 
 
 def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:
-    """The sub-function on row_subset x col_subset.
-
-    Index maps back into f are recorded on the result for traceability.
-    """
+    """The sub-function on row_subset x col_subset (each sorted and
+    deduplicated)."""
     rows = sorted(set(int(r) for r in row_subset))
     cols = sorted(set(int(c) for c in col_subset))
     if not rows or not cols:
@@ -355,7 +336,7 @@ def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:
         raise ValueError("restriction index out of range")
     sub = f.sign[np.ix_(rows, cols)]
     label = f"{f.label}|sub" if f.label else "sub"
-    return BoolFun(sub, label=label, row_map=rows, col_map=cols)
+    return BoolFun(sub, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +398,3 @@ def format_bfn(f: BoolFun) -> str:
 def read_bfn(path) -> BoolFun:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_bfn(fh.read())
-
-
-def write_bfn(path, f: BoolFun) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_bfn(f))

@@ -486,30 +486,28 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
 
 
 # ---------------------------------------------------------------------------
-# File formats.  .rect: row indices line, col indices line, optional
-# color line (+1/-1).  Cover file: a count line, then rectangle blocks
-# separated by blank lines.
+# .rect file format: row indices line, col indices line, optional color
+# line (+1/-1).
 # ---------------------------------------------------------------------------
 
-def parse_rect(text: str, line_offset: int = 0) -> Rectangle:
+def parse_rect(text: str) -> Rectangle:
     lines = [ln.rstrip("\r") for ln in text.split("\n")]
     lines = [ln for ln in lines if ln.strip()]
     if len(lines) < 2:
-        raise ParseError("rectangle needs a row line and a col line",
-                         line_offset + 1)
+        raise ParseError("rectangle needs a row line and a col line", 1)
     try:
         rows = tuple(int(t) for t in lines[0].split())
         cols = tuple(int(t) for t in lines[1].split())
     except ValueError as e:
-        raise ParseError(f"bad index: {e}", line_offset + 1) from None
+        raise ParseError(f"bad index: {e}", 1) from None
     color = None
     if len(lines) >= 3:
         tok = lines[2].strip()
         if tok not in ("+1", "-1"):
-            raise ParseError("color line must be +1 or -1", line_offset + 3, 1)
+            raise ParseError("color line must be +1 or -1", 3, 1)
         color = 1 if tok == "+1" else -1
     if len(lines) > 3:
-        raise ParseError("unexpected extra content", line_offset + 4, 1)
+        raise ParseError("unexpected extra content", 4, 1)
     return Rectangle(rows, cols, color=color)
 
 
@@ -521,31 +519,7 @@ def format_rect(r: Rectangle) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_cover(text: str) -> tuple:
-    chunks = [c for c in text.replace("\r\n", "\n").split("\n\n") if c.strip()]
-    if not chunks:
-        raise ParseError("empty cover file", 1)
-    head = chunks[0].split("\n", 1)
-    try:
-        count = int(head[0].strip())
-    except ValueError:
-        raise ParseError("first line must be the rectangle count", 1) from None
-    blocks = ([head[1]] if len(head) > 1 and head[1].strip() else []) + chunks[1:]
-    rects = tuple(parse_rect(b) for b in blocks)
-    if len(rects) != count:
-        raise ParseError(f"count line says {count}, found {len(rects)} blocks", 1)
-    return rects
-
-
-def format_cover(cover: tuple) -> str:
-    return "\n".join([str(len(cover))] + [format_rect(r) for r in cover])
-
-
 def read_rect(path) -> Rectangle:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_rect(fh.read())
 
-
-def write_rect(path, r: Rectangle) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_rect(r))

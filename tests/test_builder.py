@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from cclab import (ALICE_SENDS, CapacityError, InvariantError, Rectangle,
-                   SearchLimits, balance, build_protocol, choose_split,
-                   cover_number, evaluate, exact_cc, find_big_rectangle,
+from cclab import (CapacityError, InvariantError, Rectangle, SearchLimits,
+                   balance, build_protocol, cover_number, evaluate, exact_cc,
                    leaf_budget, make_family, max_mono_rectangle, rank,
                    rank_step_budget, restrict, shrink_step_budget,
                    theorem_report, verify, xor_power)
+from cclab.builder import ALICE_SENDS, choose_split, find_big_rectangle
 from cclab.rectangles import EXACT
 
 from oracles import rank_fractions, random_sign

@@ -5,8 +5,8 @@ import time
 import pytest
 
 from cclab.cli import main
-from cclab import verify, write_bfn
-from cclab.rectangles import Rectangle, write_rect
+from cclab import Rectangle, format_bfn, verify
+from cclab.rectangles import format_rect
 
 from oracles import random_sign
 
@@ -95,7 +95,7 @@ def test_measure_root_bounds_that_meet_are_exact(capsys):
 def test_measure_inconclusive_exit_2(tmp_path, capsys):
     f = random_sign(6, 6, 99)
     src = tmp_path / "r.bfn"
-    write_bfn(src, f)
+    src.write_text(format_bfn(f))
     code = run(["measure", "--in", str(src), "--limits", "node=3"])
     out = capsys.readouterr().out
     assert code == 2
@@ -153,7 +153,7 @@ def test_extract_identity_n1(tmp_path, capsys):
     src = tmp_path / "eq3.bfn"
     run(["gen", "--family", "eq", "--m", "3", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    write_rect(rect, Rectangle((0, 1), (2,)))
+    rect.write_text(format_rect(Rectangle((0, 1), (2,))))
     code = run(["extract", "--in", str(src), "--n", "1", "--rect", str(rect)])
     out = capsys.readouterr().out
     assert code == 0
@@ -165,7 +165,7 @@ def test_extract_guarantee_line_k6_n2(tmp_path, capsys):
     run(["gen", "--family", "const", "--m", "8", "--value", "0",
          "--out", str(src)])
     rect = tmp_path / "r.rect"
-    write_rect(rect, Rectangle(range(8), range(8)))
+    rect.write_text(format_rect(Rectangle(range(8), range(8))))
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect)])
     out = capsys.readouterr().out
     assert code == 0
@@ -176,7 +176,7 @@ def test_extract_eq2_n2_json(tmp_path, capsys):
     src = tmp_path / "eq2.bfn"
     run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    write_rect(rect, Rectangle((0, 3), (0, 3)))
+    rect.write_text(format_rect(Rectangle((0, 3), (0, 3))))
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect),
                 "--format", "json"])
     assert code == 0
@@ -188,7 +188,7 @@ def test_extract_rejects_non_monochromatic(tmp_path, capsys):
     src = tmp_path / "eq2.bfn"
     run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    write_rect(rect, Rectangle((0, 1), (0, 1)))
+    rect.write_text(format_rect(Rectangle((0, 1), (0, 1))))
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect)])
     assert code == 1
     assert "cell (" in capsys.readouterr().err
@@ -452,7 +452,7 @@ def test_report_rerun_identical(tmp_path):
 def test_limits_env_and_flag(tmp_path, monkeypatch, capsys):
     f = random_sign(6, 6, 99)
     src = tmp_path / "r.bfn"
-    write_bfn(src, f)
+    src.write_text(format_bfn(f))
     monkeypatch.setenv("CCLAB_LIMITS", "node=3")
     assert run(["measure", "--in", str(src)]) == 2
     capsys.readouterr()
@@ -489,7 +489,7 @@ def test_flag_the_command_does_not_read_is_user_error(argv, tmp_path, capsys):
              "RECT": tmp_path / "r.rect"}
     run(["gen", "--family", "eq", "--m", "2", "--out", str(paths["BFN"])])
     run(["build", "--in", str(paths["BFN"]), "--out", str(paths["PROTO"])])
-    write_rect(paths["RECT"], Rectangle((0, 3), (0, 3)))
+    paths["RECT"].write_text(format_rect(Rectangle((0, 3), (0, 3))))
     capsys.readouterr()
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]

@@ -6,8 +6,9 @@ import pytest
 
 from cclab import (ALICE, BOB, Leaf, Node, ProtocolTree, SearchLimits,
                    StructureError, balance, cover_number, evaluate, exact_cc,
-                   first_mismatch, make_family, rank, restrict, splitmix64,
-                   tree_from_obj, tree_to_obj, verify)
+                   make_family, rank, restrict, splitmix64, tree_from_obj,
+                   tree_to_obj, verify)
+from cclab.protocol import first_mismatch
 
 from oracles import all_sign_matrices, brute_cc, random_sign
 from treegen import caterpillar_tree, random_tree

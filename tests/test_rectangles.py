@@ -10,8 +10,8 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    restrict, validate_cover, xor_power)
 from cclab import rectangles
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
-                              _greedy_cover, _undominated, format_cover,
-                              format_rect, parse_cover, parse_rect)
+                              _greedy_cover, _undominated, format_rect,
+                              parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -427,14 +427,6 @@ def test_rect_round_trip():
     assert parse_rect(format_rect(r)) == r
     r2 = Rectangle((1,), (0, 3))
     assert parse_rect(format_rect(r2)) == r2
-
-
-def test_cover_round_trip():
-    f = make_family("eq", 3)
-    cov = cover_number(f).cover
-    again = parse_cover(format_cover(cov))
-    assert [r.key() for r in again] == [r.key() for r in cov]
-    assert [r.color for r in again] == [r.color for r in cov]
 
 
 def test_parse_rect_errors():
