@@ -179,17 +179,16 @@ def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     return rect, check
 
 
-def choose_split(f: BoolFun, R: Rectangle) -> SplitDecision:
-    """Decide which player announces consistency with R.
+def choose_split(f: BoolFun, R: Rectangle, rk: int) -> SplitDecision:
+    """Decide which player announces consistency with R (rk = rank(f)).
 
     Computes rank([R A]) (R's rows, all columns) and rank([R; B]) (all
     rows, R's columns) exactly; picks a side whose rank is at most
-    (rank(f)+3)/2, preferring the row side.  The rank chain guarantees
-    at least one side qualifies; neither qualifying is a bug.
+    (rk+3)/2, preferring the row side.  The rank chain guarantees at
+    least one side qualifies; neither qualifying is a bug.
     """
     if check_monochromatic(f, R) is None:
         raise ValueError("R must be monochromatic in f")
-    rk = rank(f)
     rank_row = rank(restrict(f, R.row_set, range(f.cols)))
     rank_col = rank(restrict(f, range(f.rows), R.col_set))
     # side qualifies iff 2 * side_rank <= rank(f) + 3
@@ -226,13 +225,9 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         raise InvariantError("deduplicated cell count exceeds 2**(2*rank)")
 
     steps = []
-    maxima = {"rank": 0, "shrink": 0, "base": None}
 
-    def bump(rsteps, ssteps, kind):
-        maxima["rank"] = max(maxima["rank"], rsteps)
-        maxima["shrink"] = max(maxima["shrink"], ssteps)
-        if maxima["base"] is None:
-            maxima["base"] = kind
+    def block(cur_rows, cur_cols):
+        return BoolFun(fd.sign[np.ix_(cur_rows, cur_cols)])
 
     def low_rank_tree(cur_rows, cur_cols):
         groups = classes(fd, sum(1 << x for x in cur_rows),
@@ -257,22 +252,23 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
         return enc(0, len(groups))
 
-    def rec(cur_rows, cur_cols, rsteps, ssteps):
-        sub = BoolFun(fd.sign[np.ix_(cur_rows, cur_cols)])
-        rk = rank(sub)
+    def rec(cur_rows, cur_cols, rk):
+        # The tree of the block cur_rows x cur_cols of rank rk, the most
+        # rank and shrink steps on its root-to-leaf paths, and the kind
+        # of its first base case.
+        sub = block(cur_rows, cur_cols)
         cells = sub.cells
         if cells <= 1:
             steps.append(BuildStep("tiny", sub.rows, sub.cols, rk))
-            bump(rsteps, ssteps, "tiny")
-            return Leaf(int(fd.sign[cur_rows[0], cur_cols[0]] == -1))
+            leaf = Leaf(int(fd.sign[cur_rows[0], cur_cols[0]] == -1))
+            return leaf, 0, 0, "tiny"
         if rk < 5:
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
-            bump(rsteps, ssteps, "low_rank")
-            return low_rank_tree(cur_rows, cur_cols)
+            return low_rank_tree(cur_rows, cur_cols), 0, 0, "low_rank"
 
         rect, area_check = find_big_rectangle(sub, n, strategy, cover_value)
-        side = choose_split(sub, rect).side
-        alice = side == ALICE_SENDS
+        split = choose_split(sub, rect, rk)
+        alice = split.side == ALICE_SENDS
 
         def part(s):  # a set of the speaker's indices, as (rows, cols)
             return (s, cur_cols) if alice else (cur_rows, s)
@@ -287,15 +283,21 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         if cover_value is not None:
             shrink_check = _area_guarantee(removed, cells, cover_value, n)
         steps.append(BuildStep(
-            "split", sub.rows, sub.cols, rk, side=side,
+            "split", sub.rows, sub.cols, rk, side=split.side,
             rect_area=rect.area, removed_cells=removed,
             area_check=area_check, shrink_check=shrink_check))
 
-        child1 = rec(in_rows, in_cols, rsteps + 1, ssteps)
-        child0 = rec(*part(outside), rsteps, ssteps + 1)
-        return Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
+        # The stacked block is the chosen side's block, of rank
+        # chosen_bound; only the complement's rank is new.
+        child1, r1, s1, base = rec(in_rows, in_cols, split.chosen_bound)
+        out_rows, out_cols = part(outside)
+        child0, r0, s0, _ = rec(out_rows, out_cols,
+                                rank(block(out_rows, out_cols)))
+        node = Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
+        return node, max(r1 + 1, r0), max(s1, s0 + 1), base
 
-    root_d = rec(tuple(range(fd.rows)), tuple(range(fd.cols)), 0, 0)
+    root_d, rank_steps, shrink_steps, base_case = rec(
+        tuple(range(fd.rows)), tuple(range(fd.cols)), input_rank)
 
     def expand(node):
         if isinstance(node, Leaf):
@@ -308,10 +310,9 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     tree = ProtocolTree(expand(root_d), f.rows, f.cols)
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
-    trace = BuildTrace(steps=tuple(steps), rank_steps=maxima["rank"],
-                       shrink_steps=maxima["shrink"],
-                       base_case=maxima["base"], input_rank=input_rank,
-                       cover_value=cover_value, n=n)
+    trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
+                       shrink_steps=shrink_steps, base_case=base_case,
+                       input_rank=input_rank, cover_value=cover_value, n=n)
     return tree, trace
 
 
@@ -354,12 +355,13 @@ class TheoremReport:
 def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
                    strategy: str = DIRECT_MAX) -> TheoremReport:
     limits = limits or SearchLimits()
-    rk = rank(f)
     cc = exact_cc(f, limits)
     lift = xor_power(f, n)
     cov = cover_number(lift.lifted, EXACT, limits)
     cover_value = cov.value if cov.exact else None
-    tree, _ = build_protocol(f, n, strategy=strategy, cover_value=cover_value)
+    tree, trace = build_protocol(f, n, strategy=strategy,
+                                 cover_value=cover_value)
+    rk = trace.input_rank  # rank(f): deduplication keeps the rank
     bal = balance(tree)
 
     log_c = math.log2(cov.upper) if cov.exact else None

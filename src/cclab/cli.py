@@ -28,20 +28,12 @@ from .builder import (DIRECT_MAX, LIFT_EXTRACT, build_protocol,
                       theorem_report)
 from .errors import CapacityError, ParseError, StructureError
 from .limits import SearchLimits
-from .matrix import (FAMILIES, BoolFun, distinct_col_count,
-                     distinct_row_count, format_bfn, make_family, rank,
-                     read_bfn, xor_power)
+from .matrix import (FAMILIES, BoolFun, classes, format_bfn, make_family,
+                     rank, read_bfn, xor_power)
 from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
                        first_mismatch, tree_from_obj, tree_to_obj)
 from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
-
-MEASURE_COLUMNS = ("name", "rows", "cols", "rank", "distinct_rows",
-                   "distinct_cols", "D_lo", "D_hi", "D_status",
-                   "C_lo", "C_hi", "C_status")
-REPORT_COLUMNS = ("name", "rows", "cols", "rank", "D_lo", "D_hi", "n",
-                  "C_lo", "C_hi", "logC", "rho", "degenerate", "leaves",
-                  "balanced_depth")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,17 +151,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _render(rows, columns, fmt) -> str:
+def _render(rows, fmt) -> str:
+    """rows (dicts with the same keys, in column order) as fmt."""
     if fmt == "json":
         return json.dumps(rows if len(rows) != 1 else rows[0],
                           sort_keys=True, indent=2) + "\n"
+    columns = list(rows[0])
     if fmt == "csv":
         lines = ["#v1 " + ",".join(columns)]
-        lines += [",".join(_fmt(r.get(c)) for c in columns) for r in rows]
+        lines += [",".join(_fmt(r[c]) for c in columns) for r in rows]
         return "\n".join(lines) + "\n"
     blocks = []
     for r in rows:
-        blocks.append("\n".join(f"{c}: {_fmt(r.get(c))}" for c in columns))
+        blocks.append("\n".join(f"{c}: {_fmt(r[c])}" for c in columns))
     return "\n\n".join(blocks) + "\n"
 
 
@@ -192,14 +186,15 @@ def _cmd_measure(args) -> int:
     limits = _limits(args)
     cc = exact_cc(f, limits)
     cov = cover_number(f, mode=args.mode, limits=limits)
+    row_classes, col_classes = classes(f)
     row = {
         "name": f.label or "f", "rows": f.rows, "cols": f.cols,
-        "rank": rank(f), "distinct_rows": distinct_row_count(f),
-        "distinct_cols": distinct_col_count(f),
+        "rank": rank(f), "distinct_rows": len(row_classes),
+        "distinct_cols": len(col_classes),
         "D_lo": cc.lower, "D_hi": cc.upper, "D_status": cc.status,
         "C_lo": cov.lower, "C_hi": cov.upper, "C_status": cov.status,
     }
-    _emit(_render([row], MEASURE_COLUMNS, args.format), args.out)
+    _emit(_render([row], args.format), args.out)
     return 0 if cc.exact and cov.exact else 2
 
 
@@ -295,7 +290,7 @@ def _cmd_report(args) -> int:
         rep = theorem_report(f, args.n, limits=limits, strategy=args.strategy)
         rows.append(rep.as_dict())
         all_exact = all_exact and rep.d_exact and rep.c_exact
-    _emit(_render(rows, REPORT_COLUMNS, args.format), args.out)
+    _emit(_render(rows, args.format), args.out)
     return 0 if all_exact else 2
 
 

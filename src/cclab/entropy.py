@@ -126,6 +126,12 @@ def _best_group(groups):
                             for key, c in sorted(groups.items()))
 
 
+def _decode(indices, radix: int, n: int) -> list:
+    """Base n-tuples of lifted indices, first coordinate most significant."""
+    coords = np.unravel_index(indices, (radix,) * n)
+    return list(zip(*(c.tolist() for c in coords)))
+
+
 def extract_rectangle(lift: LiftedFun, R: Rectangle):
     """From a monochromatic rectangle R of lift.lifted, extract a
     monochromatic rectangle T of the base function.
@@ -145,8 +151,8 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
             f"{R.col_set[0]})")
     n = lift.n
     base = lift.base
-    xs = [lift.row_codec.decode(r) for r in R.row_set]
-    ys = [lift.col_codec.decode(c) for c in R.col_set]
+    xs = _decode(R.row_set, base.rows, n)
+    ys = _decode(R.col_set, base.cols, n)
 
     # Stage 1: pick the coordinate with maximal H(X_i Y_i | X_<i Y_>i).
     # X and Y are independent across a rectangle, so the conditional

@@ -94,8 +94,8 @@ class Meter:
         if limits.time_budget_ms is not None:
             self._deadline = time.monotonic() + limits.time_budget_ms / 1000.0
 
-    def tick(self, n: int = 1) -> None:
-        self.nodes += n
+    def tick(self) -> None:
+        self.nodes += 1
         if self.nodes > self.limits.node_budget:
             raise BudgetExceeded("node budget exhausted")
         if self._deadline is not None and self.nodes % 256 == 0:

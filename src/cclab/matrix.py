@@ -28,7 +28,16 @@ from .errors import CapacityError, ParseError
 # cells so that exhaustive verification stays feasible.
 DESK_CELL_CAP = 2 ** 24
 
-FAMILIES = ("xor", "and", "eq", "gt", "ip", "random", "const")
+# f(x, y) of each fixed family, on a column x and a row y of indices.
+_FIXED_FAMILIES = {
+    "xor": lambda x, y: np.bitwise_count(x ^ y) & 1,
+    "and": lambda x, y: (x & y) != 0,
+    "eq": lambda x, y: x == y,
+    "gt": lambda x, y: x > y,
+    "ip": lambda x, y: np.bitwise_count(x & y) & 1,
+}
+
+FAMILIES = (*_FIXED_FAMILIES, "random", "const")
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,43 +160,25 @@ def _group(masks, members: int, within: int) -> list:
 
 
 @dataclass(frozen=True)
-class IndexCodec:
-    """Mixed-radix decoding of flat indices into n-tuples.
-
-    The first coordinate is most significant, which makes the Kronecker
-    power of the sign matrix literally equal to the lifted matrix.
-    """
-
-    radix: int
-    n: int
-
-    def decode(self, flat: int) -> tuple:
-        if not 0 <= flat < self.radix ** self.n:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for _ in range(self.n):
-            flat, r = divmod(flat, self.radix)
-            out.append(r)
-        return tuple(reversed(out))
-
-
-@dataclass(frozen=True)
 class LiftedFun:
-    """The XOR-lift f^(+n): base function, lift order, lifted matrix, codecs."""
+    """The XOR-lift f^(+n): base function, lift order, lifted matrix.
+
+    Lifted row i is the tuple np.unravel_index(i, (base.rows,) * n), in
+    C order: the first coordinate is most significant, the order of the
+    Kronecker power.  Columns likewise with base.cols.
+    """
 
     base: BoolFun
     n: int
     lifted: BoolFun
-    row_codec: IndexCodec
-    col_codec: IndexCodec
 
 
 def make_family(name: str, m: int, seed: int | None = None,
                 const_value: int | None = None) -> BoolFun:
     """Build the m x m sign matrix of a named test-fixture family.
 
-    xor    parity of the bitwise XOR of the indices (AND at m=2 style:
-           reduces to x XOR y on one bit); rank 1 for every m.
+    xor    parity of the bitwise XOR of the indices (x XOR y at m=2);
+           rank 1 for every m.
     and    1 iff the indices share a set bit (bitwise AND nonzero);
            reduces to Boolean AND at m=2.
     eq     1 iff x == y.
@@ -223,34 +214,16 @@ def make_family(name: str, m: int, seed: int | None = None,
         raise ValueError("family 'ip' requires m to be a power of 2")
 
     x = np.arange(m)
-    if name == "xor":
-        bits = _parity_vec(x)
-        f = bits[:, None] ^ bits[None, :]
-    elif name == "and":
-        f = ((x[:, None] & x[None, :]) != 0).astype(np.int8)
-    elif name == "eq":
-        f = (x[:, None] == x[None, :]).astype(np.int8)
-    elif name == "gt":
-        f = (x[:, None] > x[None, :]).astype(np.int8)
-    else:  # ip
-        f = np.array([[_popcount_parity(a & b) for b in range(m)] for a in range(m)],
-                     dtype=np.int8)
+    f = _FIXED_FAMILIES[name](x[:, None], x[None, :])
     return BoolFun(1 - 2 * f.astype(np.int8), label=f"{name}{m}")
-
-
-def _popcount_parity(v: int) -> int:
-    return bin(v).count("1") & 1
-
-
-def _parity_vec(x):
-    return np.array([_popcount_parity(int(v)) for v in x], dtype=np.int8)
 
 
 def xor_power(f: BoolFun, n: int) -> LiftedFun:
     """Lift f to f^(+n): the parity of n independent evaluations of f.
 
     The lifted sign matrix is the n-fold Kronecker power of f's sign
-    matrix, with composite indices encoded most-significant-first.
+    matrix, so lifted row i is the tuple np.unravel_index(i, (f.rows,) * n)
+    of base rows, first coordinate most significant (columns likewise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -265,49 +238,32 @@ def xor_power(f: BoolFun, n: int) -> LiftedFun:
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)
     label = f"{f.label or 'f'}^xor{n}"
-    return LiftedFun(base=f, n=n, lifted=BoolFun(sign, label=label),
-                     row_codec=IndexCodec(f.rows, n),
-                     col_codec=IndexCodec(f.cols, n))
+    return LiftedFun(base=f, n=n, lifted=BoolFun(sign, label=label))
 
 
 def exact_rank(mat) -> int:
     """Rank over the rationals of an integer matrix, by fraction-free
-    (Bareiss) elimination on Python integers.  No floating point."""
-    m = [[int(v) for v in row] for row in mat]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    (Bareiss, Math. Comp. 22, 1968) elimination on Python integers.  No
+    floating point: each division by the previous pivot is exact."""
+    m = [[int(v) for v in row] for row in mat]  # the rows not yet pivots
     rank = 0
     prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = None
-        for i in range(r, nr):
-            if m[i][c] != 0:
-                piv = i
+    for c in range(len(m[0]) if m else 0):
+        for piv, top in enumerate(m):
+            if top[c]:
                 break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nr):
-            mic = m[i][c]
-            mrc = m[r][c]
-            if mic == 0:
-                if prev != 1:
-                    for j in range(c + 1, nc):
-                        m[i][j] = (mrc * m[i][j]) // prev
-                else:
-                    for j in range(c + 1, nc):
-                        m[i][j] = mrc * m[i][j]
-            else:
-                for j in range(c + 1, nc):
-                    m[i][j] = (mrc * m[i][j] - mic * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
+        else:
+            continue  # no pivot in this column
+        del m[piv]
+        a = top[c]
+        for row in m:
+            b = row[c]
+            for j in range(c + 1, len(top)):
+                row[j] = (a * row[j] - b * top[j]) // prev
+        prev = a
         rank += 1
+        if not m:
+            break
     return rank
 
 

@@ -193,7 +193,8 @@ def _find_split_node(root, lo, hi):
 
 
 def _balance_rec(node, rx, ry):
-    # node is simplified with respect to (rx, ry), both non-empty
+    """node restricted to rx x ry (``_simplify``), then balanced."""
+    node = _simplify(node, rx, ry)
     if isinstance(node, Leaf):
         return node
     total = _leaf_total(node)
@@ -207,15 +208,10 @@ def _balance_rec(node, rx, ry):
     for anc, bit in path:
         sa, sb = _branch(anc, sa, sb, bit)
 
-    def residual(crx, cry):
-        if not crx or not cry:
-            return Leaf(0)
-        return _balance_rec(_simplify(node, crx, cry), crx, cry)
-
-    sub11 = _balance_rec(_simplify(centroid, sa, sb), sa, sb)
-    sub10 = residual(sa, ry - sb)
-    sub01 = residual(rx - sa, sb)
-    sub00 = residual(rx - sa, ry - sb)
+    sub11 = _balance_rec(centroid, sa, sb)
+    sub10 = _balance_rec(node, sa, ry - sb)
+    sub01 = _balance_rec(node, rx - sa, sb)
+    sub00 = _balance_rec(node, rx - sa, ry - sb)
     return Node(ALICE, sa,
                 Node(BOB, sb, sub00, sub01),
                 Node(BOB, sb, sub10, sub11))
@@ -228,9 +224,8 @@ def balance(t: ProtocolTree) -> ProtocolTree:
     """
     if isinstance(t.root, Leaf):
         return t
-    rx = frozenset(range(t.n_rows))
-    ry = frozenset(range(t.n_cols))
-    root = _balance_rec(_simplify(t.root, rx, ry), rx, ry)
+    root = _balance_rec(t.root, frozenset(range(t.n_rows)),
+                        frozenset(range(t.n_cols)))
     return ProtocolTree(root, t.n_rows, t.n_cols)
 
 

@@ -491,24 +491,26 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
 # ---------------------------------------------------------------------------
 
 def parse_rect(text: str) -> Rectangle:
-    lines = [ln.rstrip("\r") for ln in text.split("\n")]
-    lines = [ln for ln in lines if ln.strip()]
+    # (physical line number, stripped text) of each non-blank line
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.split("\n"), 1)
+             if ln.strip()]
     if len(lines) < 2:
         raise ParseError("rectangle needs a row line and a col line", 1)
-    try:
-        rows = tuple(int(t) for t in lines[0].split())
-        cols = tuple(int(t) for t in lines[1].split())
-    except ValueError as e:
-        raise ParseError(f"bad index: {e}", 1) from None
+    sides = []
+    for k, ln in lines[:2]:
+        try:
+            sides.append(tuple(int(t) for t in ln.split()))
+        except ValueError as e:
+            raise ParseError(f"bad index: {e}", k) from None
     color = None
     if len(lines) >= 3:
-        tok = lines[2].strip()
+        k, tok = lines[2]
         if tok not in ("+1", "-1"):
-            raise ParseError("color line must be +1 or -1", 3, 1)
+            raise ParseError("color line must be +1 or -1", k, 1)
         color = 1 if tok == "+1" else -1
     if len(lines) > 3:
-        raise ParseError("unexpected extra content", 4, 1)
-    return Rectangle(rows, cols, color=color)
+        raise ParseError("unexpected extra content", lines[3][0], 1)
+    return Rectangle(*sides, color=color)
 
 
 def format_rect(r: Rectangle) -> str:

@@ -3,10 +3,11 @@
 Everything here recomputes results by definition-level brute force,
 deliberately avoiding the library's own algorithms: rank by Fraction
 Gaussian elimination (vs fraction-free Bareiss), lifts by direct xor
-evaluation (vs Kronecker), rectangles by subset enumeration (vs
-closure search), covers by increasing-size combinations (vs branch and
-bound), and communication complexity by plain memoized recursion (vs
-the canonicalized pruned search).
+evaluation (vs Kronecker), fixed families cell by cell (vs numpy
+expressions), rectangles by subset enumeration (vs closure search),
+covers by increasing-size combinations (vs branch and bound), and
+communication complexity by plain memoized recursion (vs the
+canonicalized pruned search).
 """
 
 from fractions import Fraction
@@ -43,6 +44,23 @@ def rank_fractions(mat) -> int:
         row += 1
         rank += 1
     return rank
+
+
+def _parity(v: int) -> int:
+    return bin(v).count("1") & 1
+
+
+def brute_family(name: str, m: int) -> list:
+    """The m x m sign matrix of a fixed family, one cell at a time from
+    its definition."""
+    value = {
+        "xor": lambda x, y: _parity(x) ^ _parity(y),
+        "and": lambda x, y: int(x & y != 0),
+        "eq": lambda x, y: int(x == y),
+        "gt": lambda x, y: int(x > y),
+        "ip": lambda x, y: _parity(x & y),
+    }[name]
+    return [[1 - 2 * value(x, y) for y in range(m)] for x in range(m)]
 
 
 def brute_lift_sign(f: BoolFun, n: int) -> np.ndarray:

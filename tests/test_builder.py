@@ -7,7 +7,8 @@ from cclab import (CapacityError, InvariantError, Rectangle, SearchLimits,
                    leaf_budget, make_family, max_mono_rectangle, rank,
                    rank_step_budget, restrict, shrink_step_budget,
                    theorem_report, verify, xor_power)
-from cclab.builder import ALICE_SENDS, choose_split, find_big_rectangle
+from cclab.builder import (ALICE_SENDS, DIRECT_MAX, LIFT_EXTRACT, choose_split,
+                           find_big_rectangle)
 from cclab.rectangles import EXACT
 
 from oracles import rank_fractions, random_sign
@@ -17,7 +18,7 @@ from oracles import rank_fractions, random_sign
 
 def test_choose_split_eq4_offdiag_block():
     eq4 = make_family("eq", 4)
-    dec = choose_split(eq4, Rectangle((0, 1), (2, 3)))
+    dec = choose_split(eq4, Rectangle((0, 1), (2, 3)), rank(eq4))
     # rank(f) = 4, threshold (4+3)/2 = 3.5: chosen block rank <= 3
     assert 2 * dec.chosen_bound <= rank(eq4) + 3
     assert dec.rank_row_block == rank_fractions(eq4.sign[[0, 1], :].tolist())
@@ -27,7 +28,7 @@ def test_choose_split_eq4_offdiag_block():
 def test_choose_split_rank_one_prefers_alice():
     f = make_family("xor", 4)  # rank 1
     r = max_mono_rectangle(f)
-    dec = choose_split(f, r)
+    dec = choose_split(f, r, rank(f))
     assert dec.side == ALICE_SENDS
     assert 2 * dec.chosen_bound <= rank(f) + 3
 
@@ -42,8 +43,8 @@ def test_choose_split_planted_block_matches_oracle():
         from cclab import BoolFun
         g = BoolFun(sign)
         rect = Rectangle((0, 1, 2), (0, 1, 2), color=1)
-        dec = choose_split(g, rect)
         rk = rank(g)
+        dec = choose_split(g, rect, rk)
         row_rank = rank_fractions(g.sign[0:3, :].tolist())
         col_rank = rank_fractions(g.sign[:, 0:3].tolist())
         assert dec.rank_row_block == row_rank
@@ -56,8 +57,9 @@ def test_choose_split_planted_block_matches_oracle():
 
 
 def test_choose_split_rejects_non_monochromatic():
+    eq4 = make_family("eq", 4)
     with pytest.raises(ValueError):
-        choose_split(make_family("eq", 4), Rectangle((0, 1), (0, 1)))
+        choose_split(eq4, Rectangle((0, 1), (0, 1)), rank(eq4))
 
 
 # ----------------------------------------------------------- find_big
@@ -260,3 +262,27 @@ def test_report_eq4_n2_bounded_cover_ok():
     if not rep.c_exact:
         assert rep.log_c is None and rep.rho is None
     assert rep.leaves >= 1 and rep.balanced_depth >= 1
+
+
+def test_build_ranks_each_block_once(monkeypatch):
+    # One rank for the input and three per split step: the two sides of
+    # the split and the complement.  Every other block's rank is handed
+    # down from its parent.
+    import cclab.matrix as matrix
+
+    calls = []
+    real = matrix.exact_rank
+
+    def counted(mat):
+        calls.append(1)
+        return real(mat)
+
+    monkeypatch.setattr(matrix, "exact_rank", counted)
+    for f, n, strategy in ((make_family("ip", 8), 1, DIRECT_MAX),
+                           (make_family("random", 16, seed=1), 1, DIRECT_MAX),
+                           (make_family("gt", 5), 2, LIFT_EXTRACT)):
+        calls.clear()
+        _, trace = build_protocol(f, n, strategy=strategy)
+        splits = sum(s.kind == "split" for s in trace.steps)
+        assert splits > 0, f.label
+        assert len(calls) == 1 + 3 * splits, f.label

@@ -2,6 +2,7 @@ import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cclab import (Rectangle, check_monochromatic, enumerate_maximal_mono,
@@ -129,8 +130,8 @@ def _exhaustive_extract_checks(f, n):
 
 def _check_product_support(f, lift, r, t, cert):
     i = cert.i - 1
-    xs = [lift.row_codec.decode(v) for v in r.row_set]
-    ys = [lift.col_codec.decode(v) for v in r.col_set]
+    xs = [np.unravel_index(v, (f.rows,) * lift.n) for v in r.row_set]
+    ys = [np.unravel_index(v, (f.cols,) * lift.n) for v in r.col_set]
     x_ok = set()
     for xt in xs:
         if xt[:i] != cert.x_prefix:

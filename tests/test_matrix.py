@@ -7,7 +7,7 @@ from cclab import (BoolFun, CapacityError, DESK_CELL_CAP, ParseError,
                    restrict, splitmix64, xor_power)
 from cclab.matrix import index_bits
 
-from oracles import brute_lift_sign, rank_fractions, random_sign
+from oracles import brute_family, brute_lift_sign, rank_fractions, random_sign
 
 
 # ---------------------------------------------------------------- families
@@ -38,6 +38,16 @@ def test_and2_is_boolean_and():
 def test_gt_strict_lower_triangle():
     f = make_family("gt", 3)
     assert f.sign.tolist() == [[1, 1, 1], [-1, 1, 1], [-1, -1, 1]]
+
+
+@pytest.mark.parametrize("name", ["xor", "and", "eq", "gt", "ip"])
+def test_fixed_families_match_cell_oracle(name):
+    for m in range(1, 65):
+        if name == "ip" and m & (m - 1):
+            continue  # ip is defined at powers of two only
+        f = make_family(name, m)
+        assert f.sign.tolist() == brute_family(name, m), (name, m)
+        assert f.label == f"{name}{m}"
 
 
 def test_random_family_deterministic():
@@ -77,9 +87,10 @@ def test_xor_power_identity():
 
 
 def test_xor_power_zero_tuple_entry():
-    lift = xor_power(make_family("xor", 2), 2)
-    assert lift.row_codec.decode(0) == lift.col_codec.decode(0) == (0, 0)
-    assert lift.lifted.sign[0, 0] == 1
+    f = make_family("xor", 2)
+    lift = xor_power(f, 2)
+    assert np.unravel_index(0, (f.rows,) * lift.n) == (0, 0)
+    assert lift.lifted.sign[0, 0] == f.sign[0, 0] ** 2 == 1
 
 
 def test_xor_power_and2_matches_brute_force():
@@ -129,31 +140,38 @@ def test_xor_power_one_cell_base_up_to_order_24():
 
 def test_family_over_cap_builds_nothing(monkeypatch):
     # The cell count is checked before any cell is generated: the
-    # random stream and the parity helper (ip, xor) must not be used.
+    # random stream and the table of fixed families must not be used.
     import cclab.matrix as matrix
 
     def stream(seed):
         raise AssertionError("drew from the random stream")
         yield
 
-    def parity(v):
-        raise AssertionError("computed a parity")
+    def cells(x, y):
+        raise AssertionError("computed family cells")
 
     monkeypatch.setattr(matrix, "splitmix64", stream)
-    monkeypatch.setattr(matrix, "_popcount_parity", parity)
+    monkeypatch.setattr(matrix, "_FIXED_FAMILIES",
+                        dict.fromkeys(matrix._FIXED_FAMILIES, cells))
     for name, m in (("random", 4200), ("ip", 8192), ("xor", 100000)):
         with pytest.raises(CapacityError, match=str(DESK_CELL_CAP)):
             make_family(name, m, seed=1)
 
 
 def test_index_codec_round_trip():
-    lift = xor_power(make_family("eq", 3), 2)
-    for flat in range(9):
-        x1, x2 = lift.row_codec.decode(flat)
-        assert 3 * x1 + x2 == flat  # mixed radix 3, x_1 most significant
-    assert lift.row_codec.decode(5) == (1, 2)
-    with pytest.raises(ValueError):
-        lift.row_codec.decode(9)
+    # Lifted row i is the tuple np.unravel_index(i, (rows,) * n), first
+    # coordinate most significant, and the lifted sign is the product of
+    # the base signs over the coordinates.
+    base = random_sign(3, 2, 7)
+    lift = xor_power(base, 3)
+    for i in range(base.rows ** 3):
+        xt = np.unravel_index(i, (base.rows,) * 3)
+        assert 9 * xt[0] + 3 * xt[1] + xt[2] == i
+        for j in range(base.cols ** 3):
+            yt = np.unravel_index(j, (base.cols,) * 3)
+            assert 4 * yt[0] + 2 * yt[1] + yt[2] == j
+            want = np.prod([base.sign[x, y] for x, y in zip(xt, yt)])
+            assert lift.lifted.sign[i, j] == want
 
 
 # ---------------------------------------------------------------- rank

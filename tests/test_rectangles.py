@@ -435,3 +435,13 @@ def test_parse_rect_errors():
         parse_rect("0 1\n")
     with pytest.raises(ParseError):
         parse_rect("0\n1\n+2\n")
+
+
+def test_parse_rect_errors_name_the_physical_line():
+    from cclab import ParseError
+    for text, line in (("0 1\n\n2\n+2\n", 4),       # color after a blank
+                       ("0 1\n2 x\n", 2),            # bad column index
+                       ("0\n1\n+1\n\nextra\n", 5)):  # extra after a blank
+        with pytest.raises(ParseError) as info:
+            parse_rect(text)
+        assert info.value.line == line, text
