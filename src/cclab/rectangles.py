@@ -6,12 +6,14 @@ computes the cover number C(f) = C+(f) + C-(f): a rectangle covers
 cells of its own color only, so the cover is two independent set
 covers, one per color.  Each color's cover is greedy, or exact by
 branch-and-bound over that color's maximal rectangles (greedy
-incumbent, the coverage bound tested as a threshold on the rectangles
-sorted by size, by a Python loop over the first ones and one numpy
-step over the rest; each node branches on the candidates that no other
-dominates, found by testing them maximal-first).  Each color's lower
-bound is its greedy fooling set, until its search finishes; the one
-mask prunes the search and gives the reported lower bound.  The
+incumbent; the coverage bound tested as a threshold on the rectangles
+sorted by size, by a Python loop over all of them, or in a color of
+over 256 rectangles over those the parent node handed down: the ones
+that can meet the children's thresholds, filtered from its own list or
+found by one numpy step; each node branches on the candidates that no
+other dominates, found by testing them maximal-first).  Each color's
+lower bound is its greedy fooling set, until its search finishes; the
+one mask prunes the search and gives the reported lower bound.  The
 answer is a ``limits.SearchResult`` whose cover is a tuple of
 Rectangles in lexicographic order of (row_set, col_set).  One
 Close-by-One search over the columns (Kuznetsov 1993) finds the closed
@@ -28,7 +30,6 @@ manipulated as Python integer bitmasks internally, read from
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,13 +344,25 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     return SearchResult(status, lower, len(cover), meter.nodes, cover)
 
 
-# The coverage bound reads at most this many rectangles in a Python loop
-# before it counts the rest in one numpy step.  A Python read costs about
-# 0.1 us; a numpy step about 5 us plus 0.04 us a rectangle (a 729-cell
-# lift on a 2-vCPU Xeon), so a step pays only where the loop would read
-# hundreds.  Most nodes decide within a few reads, and a color with at
-# most this many rectangles never pays the step's fixed cost.
+# A color of at most this many rectangles tests the coverage bound at
+# each node by a Python loop over all of them, about 0.1 us a read;
+# most nodes decide within a few reads.  In a larger color a node
+# hands its children only the rectangles that can meet their
+# thresholds, filtered from its own list (5-7 us a node) or counted by
+# a numpy step over the color's masks (40-70 us on gt3^3's 828
+# rectangles of 12 words).  On gt3^3 at 30,000 nodes that costs 1.6-2.5
+# us a child, 0.1-0.3 us on eq4^2 (2-vCPU Xeon, Python 3.11, numpy 2.4).
 _SCAN_HEAD = 256
+
+
+def _reachers(words, sized, uncovered, t_min):
+    """The (area, mask) pairs of ``sized`` whose masks cover at least
+    ``t_min`` cells of ``uncovered``, in order, counted by one numpy
+    step; ``words`` holds the masks as columns of 64-bit words."""
+    u = np.frombuffer(uncovered.to_bytes(8 * words.shape[0], "little"),
+                      dtype="<u8")[:, None]
+    counts = np.bitwise_count(words & u).sum(axis=0)
+    return [sized[i] for i in np.flatnonzero(counts >= t_min).tolist()]
 
 
 def _undominated(covs) -> list:
@@ -387,12 +400,20 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     cannot beat the incumbent.  The coverage bound is tested as a
     threshold t on the rectangles sorted by descending size: a
     rectangle covers at most its area, so only the prefix of area >= t
-    can reach t.  A Python loop reads the first ``_SCAN_HEAD`` of them
-    and stops at the first that covers t cells of U or is too small to;
-    when these cannot decide, one numpy step counts the coverage of the
-    rest of the prefix.  A node branches on the rectangles through one
-    uncovered cell, minus those whose coverage of U is dominated by
-    another's (``_undominated``): the other is always at least as good.
+    can reach t.  Each node reads a list of rectangles in that order
+    and stops at the first that covers t cells of U or is too small to.
+    In a color of at most ``_SCAN_HEAD`` rectangles the list is all of
+    them.  In a larger one a node hands its children only those that
+    cover at least t_min cells of U, t_min the least threshold a child
+    can have: the incumbent only falls, so a child's t at its visit is
+    at least the one its parent computes, and a rectangle covers no
+    more of a child's cells than of U.  The node filters its own list
+    when that was cut at a threshold no higher than t_min, and else
+    counts every rectangle's coverage of U by one numpy step over the
+    color's masks (``_reachers``).  A node branches on the rectangles
+    through one uncovered cell, minus those whose coverage of U is
+    dominated by another's (``_undominated``): the other is always at
+    least as good.
 
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``, as indices into cell_masks) and whether
@@ -408,14 +429,13 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
     sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
-    # The loop's head; the rectangles past it, as rows of 64-bit words;
-    # and every rectangle's negated area, ascending, to find a prefix's end.
-    head = sized[:_SCAN_HEAD]
-    n_words = (universe.bit_length() + 63) // 64
-    neg_areas = [-area for area, _ in sized]
-    tail = np.frombuffer(b"".join(m.to_bytes(8 * n_words, "little")
-                                  for _, m in sized[_SCAN_HEAD:]),
-                         dtype="<u8").reshape(-1, n_words)
+    # A large color's masks as columns of 64-bit words.
+    words = None
+    if len(sized) > _SCAN_HEAD:
+        n_words = (universe.bit_length() + 63) // 64
+        words = np.ascontiguousarray(np.frombuffer(
+            b"".join(m.to_bytes(8 * n_words, "little") for _, m in sized),
+            dtype="<u8").reshape(-1, n_words).T)
     cells = index_bits(universe)
     cand_by_cell = {cell: [] for cell in cells}
     for i in by_size:
@@ -427,7 +447,10 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
                                               len(cand_by_cell[c]), c))
     seen = {}  # uncovered mask -> fewest rectangles used to reach it
 
-    def rec(uncovered, chosen):
+    def rec(uncovered, chosen, scan, floor):
+        # scan: the (area, mask) pairs, by descending area, of every
+        # rectangle that covers floor cells of the parent's uncovered
+        # cells (all of them at floor 0); floor <= t below.
         nonlocal best_sel, best_size
         meter.tick()
         if uncovered == 0:
@@ -450,29 +473,40 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A
         # rectangle smaller than t cannot, nor can any after it.
         t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
-        for area, m in head:
+        for area, m in scan:
             if area < t:
                 return
             if (m & uncovered).bit_count() >= t:
                 break
         else:
-            end = bisect_right(neg_areas, -t) - _SCAN_HEAD
-            if end <= 0:
-                return
-            u = np.frombuffer(uncovered.to_bytes(8 * n_words, "little"),
-                              dtype="<u8")
-            if np.bitwise_count(tail[:end] & u).sum(axis=1).max() < t:
-                return
+            return
         cell = next(c for c in cell_order if uncovered >> c & 1)
         cands = cand_by_cell[cell]
         covs = [cell_masks[i] & uncovered for i in cands]
-        for j in _undominated(covs):
+        kept = _undominated(covs)
+        # A child's uncovered cells are U minus its coverage, and its t
+        # is at least ceil(that count / (best_size - len(chosen) - 2)),
+        # as best_size only falls; when that divisor is below 1 the depth
+        # check ends every child before it reads scan.  The children's
+        # scan is cut at the least such t, from this scan when floor is
+        # no higher, since uncovered lies inside the parent's cells.
+        if words is not None and best_size - len(chosen) > 2:
+            t_min = -(-(uncovered.bit_count()
+                        - max(covs[j].bit_count() for j in kept))
+                      // (best_size - len(chosen) - 2))
+            if t_min >= floor:
+                scan = [p for p in scan
+                        if (p[1] & uncovered).bit_count() >= t_min]
+            else:
+                scan = _reachers(words, sized, uncovered, t_min)
+            floor = t_min
+        for j in kept:
             chosen.append(cands[j])
-            rec(uncovered & ~covs[j], chosen)
+            rec(uncovered & ~covs[j], chosen, scan, floor)
             chosen.pop()
 
     try:
-        rec(universe, [])
+        rec(universe, [], sized, 0)
         return best_sel, True
     except BudgetExceeded:
         return best_sel, False
@@ -481,8 +515,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # tables alive until the cyclic garbage collector runs.
         seen.clear()
         cand_by_cell.clear()
-        head.clear()
-        neg_areas.clear()
+        sized.clear()
+        words = None
 
 
 # ---------------------------------------------------------------------------

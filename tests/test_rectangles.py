@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -203,7 +205,20 @@ def test_cover_node_budget_gives_bounds():
         assert res.lower <= exact.value <= res.upper
 
 
-def test_cover_search_counts_every_visit():
+def _count_numpy_steps(monkeypatch):
+    """Count the cover search's numpy steps from here on."""
+    steps = []
+    reachers = rectangles._reachers
+
+    def counted(*args):
+        steps.append(1)
+        return reachers(*args)
+
+    monkeypatch.setattr(rectangles, "_reachers", counted)
+    return steps
+
+
+def test_cover_search_counts_every_visit(monkeypatch):
     # The coverage bound prunes exactly the nodes it always pruned, so
     # the node counts, budget cuts and covers stay those of a full scan.
     eq8 = make_family("eq", 8)
@@ -219,8 +234,9 @@ def test_cover_search_counts_every_visit():
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 19, 28, 30002)
-    # gt3^3's colors have 828 and 2,060 rectangles, so the coverage bound
-    # also counts coverage past the Python scan's head.
+    # gt3^3's colors have 828 and 2,060 rectangles, so its nodes narrow
+    # their children's scan, some by a numpy step.
+    steps = _count_numpy_steps(monkeypatch)
     gt3cube = xor_power(make_family("gt", 3), 3).lifted
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
@@ -229,18 +245,69 @@ def test_cover_search_counts_every_visit():
     keys = repr([r.key() for r in res.cover]).encode()
     assert hashlib.sha256(keys).hexdigest() == (
         "6f4600b63e5474557b9690f1c54f2b1445274194c0d289b24eaad177518a3244")
+    assert steps
 
 
-@pytest.mark.parametrize("head", [0, 7])
+@pytest.mark.parametrize("head", [0, 7, 10**9])
 def test_cover_bound_stages_decide_alike(head, monkeypatch):
-    # Moving rectangles from the Python scan to the numpy step changes
-    # no decision: same nodes, bounds and cover.
+    # Nodes narrowing their children's scan in every color (head 0), in
+    # colors over 7 rectangles, or in none (a head above every color's
+    # count): same nodes, bounds and cover.  Random 3x3^3 seed 3 lowers
+    # its incumbent mid-search.
     cases = [(make_family("eq", 8), None),
              (xor_power(make_family("gt", 3), 3).lifted,
-              SearchLimits(node_budget=500, rect_budget=100000))]
+              SearchLimits(node_budget=500, rect_budget=100000)),
+             (xor_power(make_family("random", 3, seed=3), 3).lifted, None),
+             (xor_power(make_family("random", 4, seed=28), 2).lifted,
+              SearchLimits(node_budget=3000, rect_budget=100000))]
     want = [cover_number(f, limits=lim) for f, lim in cases]
+    assert want[2].nodes == 21077
     monkeypatch.setattr(rectangles, "_SCAN_HEAD", head)
+    steps = _count_numpy_steps(monkeypatch)
     assert [cover_number(f, limits=lim) for f, lim in cases] == want
+    assert bool(steps) == (head < 10**9)
+
+
+def test_cover_bound_stages_decide_alike_on_random(monkeypatch):
+    # 3x3 to 7x7: most of them search, and their nodes narrow the scan
+    # by numpy steps under head 0.
+    rng = random.Random(13)
+    inputs = [random_sign(rng.randint(3, 7), rng.randint(3, 7), 4000 + k)
+              for k in range(200)]
+    want = [cover_number(f) for f in inputs]
+    monkeypatch.setattr(rectangles, "_SCAN_HEAD", 0)
+    assert [cover_number(f) for f in inputs] == want
+
+
+def test_cover_search_frees_its_arrays_on_return(monkeypatch):
+    # rec holds itself in its closure; with the cyclic collector held
+    # off, an array it still referenced would outlive the call.
+    refs = []
+
+    class Spy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            if not callable(attr) or isinstance(attr, type):
+                return attr
+
+            def call(*args, **kwargs):
+                out = attr(*args, **kwargs)
+                if isinstance(out, np.ndarray):
+                    refs.append(weakref.ref(out))
+                return out
+            return call
+
+    monkeypatch.setattr(rectangles, "np", Spy())
+    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    gc.collect()
+    gc.disable()
+    try:
+        cover_number(gt3cube, limits=SearchLimits(node_budget=500,
+                                                  rect_budget=100000))
+        assert refs
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def _undominated_pairwise(covs):
