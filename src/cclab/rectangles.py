@@ -7,14 +7,14 @@ cells of its own color only, so the cover is two independent set
 covers, one per color.  Each color's cover is greedy, or exact by
 branch-and-bound over that color's maximal rectangles (greedy
 incumbent; the coverage bound tested as a threshold on the rectangles
-sorted by size, by a Python loop over all of them, or in a color of
-over 256 rectangles over those the parent node handed down: the ones
-that can meet the children's thresholds, filtered from its own list or
-found by one numpy step; each node branches on the candidates that no
-other dominates, found by testing them maximal-first).  Each color's
-lower bound is its greedy fooling set, until its search finishes; the
-one mask prunes the search and gives the reported lower bound.  The
-answer is a ``limits.SearchResult`` whose cover is a tuple of
+sorted by size, at the root over all of them and below it over those
+the parent node handed down: the ones that can meet the children's
+thresholds, filtered from the nearest ancestor's list cut low enough;
+each node branches on the candidates that no other dominates, found by
+testing them maximal-first).  Each color's lower bound is its greedy
+fooling set, until its search finishes; the one mask prunes the search
+and gives the reported lower bound.  The answer is a
+``limits.SearchResult`` whose cover is a tuple of
 Rectangles in lexicographic order of (row_set, col_set).  One
 Close-by-One search over the columns (Kuznetsov 1993) finds the closed
 (maximal) monochromatic rectangles: it enumerates them all, and with an
@@ -344,27 +344,6 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     return SearchResult(status, lower, len(cover), meter.nodes, cover)
 
 
-# A color of at most this many rectangles tests the coverage bound at
-# each node by a Python loop over all of them, about 0.1 us a read;
-# most nodes decide within a few reads.  In a larger color a node
-# hands its children only the rectangles that can meet their
-# thresholds, filtered from its own list (5-7 us a node) or counted by
-# a numpy step over the color's masks (40-70 us on gt3^3's 828
-# rectangles of 12 words).  On gt3^3 at 30,000 nodes that costs 1.6-2.5
-# us a child, 0.1-0.3 us on eq4^2 (2-vCPU Xeon, Python 3.11, numpy 2.4).
-_SCAN_HEAD = 256
-
-
-def _reachers(words, sized, uncovered, t_min):
-    """The (area, mask) pairs of ``sized`` whose masks cover at least
-    ``t_min`` cells of ``uncovered``, in order, counted by one numpy
-    step; ``words`` holds the masks as columns of 64-bit words."""
-    u = np.frombuffer(uncovered.to_bytes(8 * words.shape[0], "little"),
-                      dtype="<u8")[:, None]
-    counts = np.bitwise_count(words & u).sum(axis=0)
-    return [sized[i] for i in np.flatnonzero(counts >= t_min).tolist()]
-
-
 def _undominated(covs) -> list:
     """Indices of the coverages ``covs`` that no other one dominates, in
     ascending order.  Mask j dominates mask i when i's cells lie inside
@@ -400,20 +379,19 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     cannot beat the incumbent.  The coverage bound is tested as a
     threshold t on the rectangles sorted by descending size: a
     rectangle covers at most its area, so only the prefix of area >= t
-    can reach t.  Each node reads a list of rectangles in that order
-    and stops at the first that covers t cells of U or is too small to.
-    In a color of at most ``_SCAN_HEAD`` rectangles the list is all of
-    them.  In a larger one a node hands its children only those that
-    cover at least t_min cells of U, t_min the least threshold a child
-    can have: the incumbent only falls, so a child's t at its visit is
-    at least the one its parent computes, and a rectangle covers no
-    more of a child's cells than of U.  The node filters its own list
-    when that was cut at a threshold no higher than t_min, and else
-    counts every rectangle's coverage of U by one numpy step over the
-    color's masks (``_reachers``).  A node branches on the rectangles
-    through one uncovered cell, minus those whose coverage of U is
-    dominated by another's (``_undominated``): the other is always at
-    least as good.
+    can reach t.  A node reads the list its parent handed down and
+    stops at the first rectangle that covers t cells of U or is too
+    small to.  The root reads all of them.  A node hands its children
+    only those that cover at least t_min cells of U, t_min the least
+    threshold a child can have: the incumbent only falls, so a child's
+    t at its visit is at least the one its parent computes, and a
+    rectangle covers no more of a child's cells than of U.  It filters
+    the list of its nearest ancestor cut at a threshold no higher than
+    t_min, which holds every such rectangle, since U lies inside that
+    ancestor's cells.  A node branches on the rectangles through its
+    first uncovered cell in a fixed order, minus those whose coverage of
+    U is dominated by another's (``_undominated``): the other is always
+    at least as good.
 
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``, as indices into cell_masks) and whether
@@ -425,32 +403,28 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         return best_sel, True
 
     # Rectangles by descending size, ties by index: each cell's
-    # candidates in branching order, and the masks the bound scans.
+    # candidates in branching order, as (index, mask) pairs that rec
+    # reads in place of cell_masks, and the masks the bound scans.
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
-    sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
-    # A large color's masks as columns of 64-bit words.
-    words = None
-    if len(sized) > _SCAN_HEAD:
-        n_words = (universe.bit_length() + 63) // 64
-        words = np.ascontiguousarray(np.frombuffer(
-            b"".join(m.to_bytes(8 * n_words, "little") for _, m in sized),
-            dtype="<u8").reshape(-1, n_words).T)
     cells = index_bits(universe)
     cand_by_cell = {cell: [] for cell in cells}
     for i in by_size:
         for cell in index_bits(cell_masks[i]):
-            cand_by_cell[cell].append(i)
+            cand_by_cell[cell].append((i, cell_masks[i]))
     # Branch on fooling cells first (they pin distinct rectangles), then
     # scarce cells.
     cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
                                               len(cand_by_cell[c]), c))
     seen = {}  # uncovered mask -> fewest rectangles used to reach it
+    # (floor, scan) of the root and of each narrowing node on the path:
+    # scan holds, as (area, mask) pairs by descending area, every
+    # rectangle that covers floor cells of that node's uncovered cells.
+    lists = [(0, [(cell_masks[i].bit_count(), cell_masks[i])
+                  for i in by_size])]
 
-    def rec(uncovered, chosen, scan, floor):
-        # scan: the (area, mask) pairs, by descending area, of every
-        # rectangle that covers floor cells of the parent's uncovered
-        # cells (all of them at floor 0); floor <= t below.
+    def rec(uncovered, chosen, first):
+        # Every cell before cell_order[first] is covered.
         nonlocal best_sel, best_size
         meter.tick()
         if uncovered == 0:
@@ -473,40 +447,45 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A
         # rectangle smaller than t cannot, nor can any after it.
         t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
-        for area, m in scan:
+        for area, m in lists[-1][1]:
             if area < t:
                 return
             if (m & uncovered).bit_count() >= t:
                 break
         else:
             return
-        cell = next(c for c in cell_order if uncovered >> c & 1)
-        cands = cand_by_cell[cell]
-        covs = [cell_masks[i] & uncovered for i in cands]
+        while not uncovered >> cell_order[first] & 1:
+            first += 1
+        cands = cand_by_cell[cell_order[first]]
+        covs = [m & uncovered for _, m in cands]
         kept = _undominated(covs)
         # A child's uncovered cells are U minus its coverage, and its t
-        # is at least ceil(that count / (best_size - len(chosen) - 2)),
-        # as best_size only falls; when that divisor is below 1 the depth
-        # check ends every child before it reads scan.  The children's
-        # scan is cut at the least such t, from this scan when floor is
-        # no higher, since uncovered lies inside the parent's cells.
-        if words is not None and best_size - len(chosen) > 2:
+        # is at least ceil(that count / left), as best_size only falls.
+        # When left is below 1 the depth check ends every child before
+        # it reads a list.
+        left = best_size - len(chosen) - 2
+        if left > 0:
             t_min = -(-(uncovered.bit_count()
-                        - max(covs[j].bit_count() for j in kept))
-                      // (best_size - len(chosen) - 2))
-            if t_min >= floor:
-                scan = [p for p in scan
-                        if (p[1] & uncovered).bit_count() >= t_min]
-            else:
-                scan = _reachers(words, sized, uncovered, t_min)
-            floor = t_min
+                        - max(covs[j].bit_count() for j in kept)) // left)
+            for floor, scan in reversed(lists):
+                if floor <= t_min:
+                    break
+            narrowed = []
+            for p in scan:
+                if p[0] < t_min:
+                    break
+                if (p[1] & uncovered).bit_count() >= t_min:
+                    narrowed.append(p)
+            lists.append((t_min, narrowed))
         for j in kept:
-            chosen.append(cands[j])
-            rec(uncovered & ~covs[j], chosen, scan, floor)
+            chosen.append(cands[j][0])
+            rec(uncovered & ~covs[j], chosen, first + 1)
             chosen.pop()
+        if left > 0:
+            lists.pop()
 
     try:
-        rec(universe, [], sized, 0)
+        rec(universe, [], 0)
         return best_sel, True
     except BudgetExceeded:
         return best_sel, False
@@ -515,8 +494,7 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # tables alive until the cyclic garbage collector runs.
         seen.clear()
         cand_by_cell.clear()
-        sized.clear()
-        words = None
+        lists.clear()
 
 
 # ---------------------------------------------------------------------------

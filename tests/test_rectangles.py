@@ -1,7 +1,7 @@
 import gc
 import hashlib
 import random
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
 from cclab import rectangles
+from cclab.limits import BudgetExceeded
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
                               _greedy_cover, _undominated, format_rect,
                               parse_rect)
@@ -205,20 +206,7 @@ def test_cover_node_budget_gives_bounds():
         assert res.lower <= exact.value <= res.upper
 
 
-def _count_numpy_steps(monkeypatch):
-    """Count the cover search's numpy steps from here on."""
-    steps = []
-    reachers = rectangles._reachers
-
-    def counted(*args):
-        steps.append(1)
-        return reachers(*args)
-
-    monkeypatch.setattr(rectangles, "_reachers", counted)
-    return steps
-
-
-def test_cover_search_counts_every_visit(monkeypatch):
+def test_cover_search_counts_every_visit():
     # The coverage bound prunes exactly the nodes it always pruned, so
     # the node counts, budget cuts and covers stay those of a full scan.
     eq8 = make_family("eq", 8)
@@ -234,9 +222,6 @@ def test_cover_search_counts_every_visit(monkeypatch):
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 19, 28, 30002)
-    # gt3^3's colors have 828 and 2,060 rectangles, so its nodes narrow
-    # their children's scan, some by a numpy step.
-    steps = _count_numpy_steps(monkeypatch)
     gt3cube = xor_power(make_family("gt", 3), 3).lifted
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
@@ -245,69 +230,128 @@ def test_cover_search_counts_every_visit(monkeypatch):
     keys = repr([r.key() for r in res.cover]).encode()
     assert hashlib.sha256(keys).hexdigest() == (
         "6f4600b63e5474557b9690f1c54f2b1445274194c0d289b24eaad177518a3244")
-    assert steps
+    # A node filters the nearest list cut at a threshold no higher than
+    # its own.  Filtering its parent's list whatever its cut, or keeping
+    # only the rectangles above the threshold, drops rectangles a node
+    # needs, and seed 12 then claims an exact 17 or 18.
+    lift = xor_power(make_family("random", 3, seed=12), 3).lifted
+    res = cover_number(lift)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 19022)
+    lift = xor_power(make_family("random", 4, seed=27), 2).lifted
+    res = cover_number(lift, limits=SearchLimits(node_budget=3000,
+                                                 rect_budget=100000))
+    assert (res.status, res.lower, res.upper, res.nodes) == (
+        BOUNDS, 17, 31, 3002)
 
 
-@pytest.mark.parametrize("head", [0, 7, 10**9])
-def test_cover_bound_stages_decide_alike(head, monkeypatch):
-    # Nodes narrowing their children's scan in every color (head 0), in
-    # colors over 7 rectangles, or in none (a head above every color's
-    # count): same nodes, bounds and cover.  Random 3x3^3 seed 3 lowers
-    # its incumbent mid-search.
+def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
+                           meter):
+    """The color's cover search with no narrowing: every node tests the
+    coverage bound on the whole size-sorted list of the rectangles."""
+    best_sel = list(incumbent)
+    best_size = len(incumbent)
+    if fooling_mask.bit_count() >= best_size:
+        return best_sel, True
+    by_size = sorted(range(len(cell_masks)),
+                     key=lambda i: (-cell_masks[i].bit_count(), i))
+    sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
+    cells = [c for c in range(universe.bit_length()) if universe >> c & 1]
+    cand_by_cell = {c: [i for i in by_size if cell_masks[i] >> c & 1]
+                    for c in cells}
+    cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
+                                              len(cand_by_cell[c]), c))
+    seen = {}
+
+    def rec(uncovered, chosen):
+        nonlocal best_sel, best_size
+        meter.tick()
+        if uncovered == 0:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_sel = list(chosen)
+            return
+        if len(chosen) + 1 >= best_size:
+            return
+        prev = seen.get(uncovered)
+        if prev is not None and prev <= len(chosen):
+            return
+        if len(seen) < 1_000_000:
+            seen[uncovered] = len(chosen)
+        if len(chosen) + (fooling_mask & uncovered).bit_count() >= best_size:
+            return
+        t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
+        for area, m in sized:
+            if area < t:
+                return
+            if (m & uncovered).bit_count() >= t:
+                break
+        else:
+            return
+        cands = cand_by_cell[next(c for c in cell_order
+                                  if uncovered >> c & 1)]
+        covs = [cell_masks[i] & uncovered for i in cands]
+        for j in _undominated(covs):
+            chosen.append(cands[j])
+            rec(uncovered & ~covs[j], chosen)
+            chosen.pop()
+
+    try:
+        rec(universe, [])
+        return best_sel, True
+    except BudgetExceeded:
+        return best_sel, False
+
+
+def test_cover_bound_stages_decide_alike(monkeypatch):
+    # The coverage bound read in stages, each node on the list its
+    # parent narrowed, gives the same nodes, bounds and cover as a
+    # search that scans every rectangle at every node.  Random 3x3^3
+    # seed 3 lowers its incumbent mid-search.
     cases = [(make_family("eq", 8), None),
              (xor_power(make_family("gt", 3), 3).lifted,
               SearchLimits(node_budget=500, rect_budget=100000)),
              (xor_power(make_family("random", 3, seed=3), 3).lifted, None),
              (xor_power(make_family("random", 4, seed=28), 2).lifted,
               SearchLimits(node_budget=3000, rect_budget=100000))]
+    got = [cover_number(f, limits=lim) for f, lim in cases]
+    monkeypatch.setattr(rectangles, "_exact_color_cover",
+                        _full_scan_color_cover)
     want = [cover_number(f, limits=lim) for f, lim in cases]
     assert want[2].nodes == 21077
-    monkeypatch.setattr(rectangles, "_SCAN_HEAD", head)
-    steps = _count_numpy_steps(monkeypatch)
-    assert [cover_number(f, limits=lim) for f, lim in cases] == want
-    assert bool(steps) == (head < 10**9)
+    assert got == want
 
 
 def test_cover_bound_stages_decide_alike_on_random(monkeypatch):
-    # 3x3 to 7x7: most of them search, and their nodes narrow the scan
-    # by numpy steps under head 0.
+    # 3x3 to 7x7: most of them search.
     rng = random.Random(13)
     inputs = [random_sign(rng.randint(3, 7), rng.randint(3, 7), 4000 + k)
               for k in range(200)]
-    want = [cover_number(f) for f in inputs]
-    monkeypatch.setattr(rectangles, "_SCAN_HEAD", 0)
-    assert [cover_number(f) for f in inputs] == want
+    got = [cover_number(f) for f in inputs]
+    monkeypatch.setattr(rectangles, "_exact_color_cover",
+                        _full_scan_color_cover)
+    assert [cover_number(f) for f in inputs] == got
 
 
-def test_cover_search_frees_its_arrays_on_return(monkeypatch):
+def test_cover_search_frees_its_arrays_on_return():
     # rec holds itself in its closure; with the cyclic collector held
-    # off, an array it still referenced would outlive the call.
-    refs = []
-
-    class Spy:
-        def __getattr__(self, name):
-            attr = getattr(np, name)
-            if not callable(attr) or isinstance(attr, type):
-                return attr
-
-            def call(*args, **kwargs):
-                out = attr(*args, **kwargs)
-                if isinstance(out, np.ndarray):
-                    refs.append(weakref.ref(out))
-                return out
-            return call
-
-    monkeypatch.setattr(rectangles, "np", Spy())
+    # off, whatever it still references outlives the call.  At 500 nodes
+    # on gt3^3 the call keeps about 70 KB, mostly the two colors' cell
+    # orders; a memo left full would keep about 75 KB more, and the
+    # stack of rectangle lists about 575 KB more.
     gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    limits = SearchLimits(node_budget=500, rect_budget=100000)
     gc.collect()
     gc.disable()
+    tracemalloc.start()
     try:
-        cover_number(gt3cube, limits=SearchLimits(node_budget=500,
-                                                  rect_budget=100000))
-        assert refs
-        assert [r for r in refs if r() is not None] == []
+        cover_number(gt3cube, limits=limits)  # fills caches and free lists
+        before = tracemalloc.get_traced_memory()[0]
+        cover_number(gt3cube, limits=limits)
+        net = tracemalloc.get_traced_memory()[0] - before
     finally:
+        tracemalloc.stop()
         gc.enable()
+    assert net < 100_000
 
 
 def _undominated_pairwise(covs):
