@@ -302,18 +302,39 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
         return best_sel, False
 
 
-def test_cover_bound_stages_decide_alike(monkeypatch):
+@pytest.mark.parametrize("head", [0, 7, 10**9])
+def test_cover_bound_stages_decide_alike(head, monkeypatch):
     # The coverage bound read in stages, each node on the list its
     # parent narrowed, gives the same nodes, bounds and cover as a
-    # search that scans every rectangle at every node.  Random 3x3^3
-    # seed 3 lowers its incumbent mid-search.
+    # search that scans every rectangle at every node, also when colors
+    # of at most `head` rectangles take the full scan and the rest
+    # narrow: all colors narrow (head 0), colors over 7 rectangles, or
+    # none (a head above every color's count).  Random 3x3^3 seed 3
+    # lowers its incumbent mid-search; eq4 (colors of 14 and 4
+    # rectangles) and random 5x5 seed 3 (12 and 7) mix under head 7.
     cases = [(make_family("eq", 8), None),
              (xor_power(make_family("gt", 3), 3).lifted,
               SearchLimits(node_budget=500, rect_budget=100000)),
              (xor_power(make_family("random", 3, seed=3), 3).lifted, None),
              (xor_power(make_family("random", 4, seed=28), 2).lifted,
-              SearchLimits(node_budget=3000, rect_budget=100000))]
+              SearchLimits(node_budget=3000, rect_budget=100000)),
+             (make_family("eq", 4), None),
+             (make_family("random", 5, seed=3), None)]
     got = [cover_number(f, limits=lim) for f, lim in cases]
+    narrowing = rectangles._exact_color_cover
+    taken = set()
+
+    def mixed(universe, cell_masks, *args):
+        search = (_full_scan_color_cover if len(cell_masks) <= head
+                  else narrowing)
+        taken.add(search)
+        return search(universe, cell_masks, *args)
+
+    monkeypatch.setattr(rectangles, "_exact_color_cover", mixed)
+    assert [cover_number(f, limits=lim) for f, lim in cases] == got
+    assert taken == {0: {narrowing},
+                     7: {narrowing, _full_scan_color_cover},
+                     10**9: {_full_scan_color_cover}}[head]
     monkeypatch.setattr(rectangles, "_exact_color_cover",
                         _full_scan_color_cover)
     want = [cover_number(f, limits=lim) for f, lim in cases]
