@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 
@@ -174,6 +175,25 @@ def test_balance_random_trees_depth_and_semantics():
         for x in range(nr):
             for y in range(nc):
                 assert evaluate(t, x, y)[0] == evaluate(b, x, y)[0]
+
+
+def test_balance_choice_pinned_on_random_trees():
+    # The trees of the test above and the two caterpillars, 702 leaves
+    # in all: the hash pins which node each level splits on.
+    stream = splitmix64(2468)
+    trees = []
+    for _ in range(40):
+        nr = 3 + next(stream) % 8
+        nc = 3 + next(stream) % 8
+        trees.append(random_tree(nr, nc, 2 + next(stream) % 63, stream))
+    trees.append(caterpillar_tree(5, 5, 19, splitmix64(321)))
+    trees.append(caterpillar_tree(5, 5, 8, splitmix64(123)))
+    assert sum(t.leaf_count for t in trees) == 702
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(json.dumps(tree_to_obj(balance(t)), sort_keys=True).encode())
+    assert h.hexdigest() == ("5324092e7be4c3f7485c1cc915819a099d"
+                             "28889d247e38bf04a28544c04da929")
 
 
 # ----------------------------------------------------------- exact_cc
