@@ -243,14 +243,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                 return Leaf(1)
             return Node(BOB, ones, Leaf(0), Leaf(1))
 
-        def enc(lo, hi):
-            if hi - lo == 1:
-                return value_leaf(groups[lo][0])
-            mid = (lo + hi) // 2
-            first = frozenset(x for mem in groups[lo:mid] for x in mem)
-            return Node(ALICE, first, enc(mid, hi), enc(lo, mid))
-
-        return enc(0, len(groups))
+        return _halve(groups, 0, len(groups), value_leaf)
 
     def rec(cur_rows, cur_cols, rk):
         # The tree of the block cur_rows x cur_cols of rank rk, the most
@@ -296,24 +289,43 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         node = Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
         return node, max(r1 + 1, r0), max(s1, s0 + 1), base
 
-    root_d, rank_steps, shrink_steps, base_case = rec(
-        tuple(range(fd.rows)), tuple(range(fd.cols)), input_rank)
+    try:
+        root_d, rank_steps, shrink_steps, base_case = rec(
+            tuple(range(fd.rows)), tuple(range(fd.cols)), input_rank)
+    finally:
+        rec = None  # rec holds itself in its closure: break the cycle
 
-    def expand(node):
-        if isinstance(node, Leaf):
-            return node
-        classes = row_classes if node.speaker == ALICE else col_classes
-        members = frozenset(i for idx in node.subset for i in classes[idx])
-        return Node(node.speaker, members, expand(node.child0),
-                    expand(node.child1))
-
-    tree = ProtocolTree(expand(root_d), f.rows, f.cols)
+    tree = ProtocolTree(_expand(root_d, row_classes, col_classes),
+                        f.rows, f.cols)
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
     trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
                        shrink_steps=shrink_steps, base_case=base_case,
                        input_rank=input_rank, cover_value=cover_value, n=n)
     return tree, trace
+
+
+def _halve(groups, lo, hi, value_leaf):
+    """Alice halves the row classes groups[lo:hi] until one is left,
+    whose row value_leaf answers."""
+    if hi - lo == 1:
+        return value_leaf(groups[lo][0])
+    mid = (lo + hi) // 2
+    first = frozenset(x for mem in groups[lo:mid] for x in mem)
+    return Node(ALICE, first, _halve(groups, mid, hi, value_leaf),
+                _halve(groups, lo, mid, value_leaf))
+
+
+def _expand(node, row_classes, col_classes):
+    """The tree over the deduplicated rows and columns as a tree over
+    all of them: each predicate holds the members of its classes."""
+    if isinstance(node, Leaf):
+        return node
+    side = row_classes if node.speaker == ALICE else col_classes
+    members = frozenset(i for idx in node.subset for i in side[idx])
+    return Node(node.speaker, members,
+                _expand(node.child0, row_classes, col_classes),
+                _expand(node.child1, row_classes, col_classes))
 
 
 @dataclass(frozen=True)

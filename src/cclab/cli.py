@@ -305,8 +305,8 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (ParseError, ValueError, CapacityError, StructureError, OSError,
-            json.JSONDecodeError) as e:
+    except (ParseError, ValueError, CapacityError, StructureError,
+            OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

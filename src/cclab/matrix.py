@@ -105,9 +105,6 @@ class BoolFun:
                 for side in (ones, ones.T))
         return self._bits
 
-    def is_constant(self) -> bool:
-        return bool(np.all(self.sign == self.sign[0, 0]))
-
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
         return f"<BoolFun{tag} {self.rows}x{self.cols}>"

@@ -8,11 +8,12 @@ Leaves carry output bits.  Trees are immutable and validated on
 construction: every predicate must be contained in the set of inputs
 that can still reach its node.
 
-``balance`` restructures a tree with many leaves into a shallow one:
-find a subtree holding between 1/3 and 2/3 of the leaves, have both
-players announce whether their input is consistent with reaching it,
-and recurse on the four residual protocols.  The output depth is at
-most ceil(2 * log_{3/2} leaf_count).
+``balance`` restructures a tree with t >= 2 leaves into a shallow one:
+split on the deepest subtree holding ceil(t/3) to floor(2t/3) leaves,
+the earliest in preorder (node, child0, child1), have both players
+announce whether their input is consistent with reaching it, and
+recurse on the four residual protocols.  The output depth is at most
+ceil(2 * log_{3/2} leaf_count).
 
 ``exact_cc`` computes D(f) by min-max search over submatrices,
 memoized by their (row mask, column mask) pair.  Each search node
@@ -140,74 +141,48 @@ def verify(t: ProtocolTree, f: BoolFun) -> bool:
 # Balancing
 # ---------------------------------------------------------------------------
 
-def _simplify(node, rx, ry):
+def _simplify(node, rx, ry, depth, kept):
     """Restrict a tree to the input rectangle rx x ry, collapsing nodes
     whose predicate no longer splits and normalizing predicates to the
-    reachable sets.  Empty context yields a dummy leaf."""
+    reachable sets.  Empty context yields a dummy leaf.
+
+    Returns the restricted tree and its leaf count.  Each node of it is
+    recorded in kept as [depth, rx, ry, node, leaves], in preorder
+    (node, child0, child1), rx x ry being the inputs that reach it.
+    """
     if not rx or not ry:
-        return Leaf(0)
+        node = Leaf(0)
     if isinstance(node, Leaf):
-        return node
+        kept.append([depth, rx, ry, node, 1])
+        return node, 1
     rx1, ry1 = _branch(node, rx, ry, 1)
     rx0, ry0 = _branch(node, rx, ry, 0)
     if not (rx1 and ry1):
-        return _simplify(node.child0, rx, ry)
+        return _simplify(node.child0, rx, ry, depth, kept)
     if not (rx0 and ry0):
-        return _simplify(node.child1, rx, ry)
-    return Node(node.speaker, rx1 if node.speaker == ALICE else ry1,
-                _simplify(node.child0, rx0, ry0),
-                _simplify(node.child1, rx1, ry1))
-
-
-def _leaf_total(node) -> int:
-    if isinstance(node, Leaf):
-        return 1
-    return _leaf_total(node.child0) + _leaf_total(node.child1)
-
-
-def _find_split_node(root, lo, hi):
-    """Deepest node whose subtree has a leaf count in [lo, hi]; ties go
-    to the earlier preorder position (node, child0, child1)."""
-    best = []  # depth, preorder, node, path tuple
-    counter = [0]
-
-    def walk(node, depth, path):
-        pre = counter[0]
-        counter[0] += 1
-        if isinstance(node, Leaf):
-            cnt = 1
-        else:
-            path.append((node, 0))
-            c0 = walk(node.child0, depth + 1, path)
-            path[-1] = (node, 1)
-            c1 = walk(node.child1, depth + 1, path)
-            path.pop()
-            cnt = c0 + c1
-        if lo <= cnt <= hi:
-            if not best or depth > best[0] or (depth == best[0] and pre < best[1]):
-                best[:] = [depth, pre, node, tuple(path)]
-        return cnt
-
-    walk(root, 0, [])
-    return (best[2], best[3]) if best else (None, None)
+        return _simplify(node.child1, rx, ry, depth, kept)
+    entry = [depth, rx, ry]
+    kept.append(entry)
+    child0, leaves0 = _simplify(node.child0, rx0, ry0, depth + 1, kept)
+    child1, leaves1 = _simplify(node.child1, rx1, ry1, depth + 1, kept)
+    node = Node(node.speaker, rx1 if node.speaker == ALICE else ry1,
+                child0, child1)
+    entry += node, leaves0 + leaves1
+    return node, entry[4]
 
 
 def _balance_rec(node, rx, ry):
-    """node restricted to rx x ry (``_simplify``), then balanced."""
-    node = _simplify(node, rx, ry)
+    """node restricted to rx x ry (``_simplify``), then balanced.  The
+    split node is read from the restriction's record (``max`` keeps the
+    first of the deepest); going down into the child with more leaves
+    always meets one."""
+    kept = []
+    node, total = _simplify(node, rx, ry, 0, kept)
     if isinstance(node, Leaf):
         return node
-    total = _leaf_total(node)
-    lo = -(-total // 3)
-    hi = (2 * total) // 3
-    centroid, path = _find_split_node(node, lo, hi)
-    if centroid is None:
-        raise StructureError("no balancing split node exists")  # unreachable
-
-    sa, sb = rx, ry
-    for anc, bit in path:
-        sa, sb = _branch(anc, sa, sb, bit)
-
+    _, sa, sb, centroid, _ = max(
+        (e for e in kept if -(-total // 3) <= e[4] <= 2 * total // 3),
+        key=lambda e: e[0])
     sub11 = _balance_rec(centroid, sa, sb)
     sub10 = _balance_rec(node, sa, ry - sb)
     sub01 = _balance_rec(node, rx - sa, sb)
@@ -249,8 +224,6 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> SearchResult:
     exact answer without a split.  On cap exhaustion returns the
     interval [root floor, root ceiling].
     """
-    if f.is_constant():
-        return SearchResult(EXACT, 0, 0)
     meter = Meter(caps or SearchLimits())
     indicators = ((f.sign < 0).tolist(), (f.sign > 0).tolist())  # M1, M0
     memo = {}  # (rmask, cmask) -> value
@@ -290,8 +263,8 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> SearchResult:
         val = split(rmask, cmask, lo, hi)
     except BudgetExceeded:
         return SearchResult(INTERVAL, lo, hi, meter.nodes)
-    finally:  # solve and split form a cycle: free the memo now
-        memo.clear()
+    finally:
+        split = None  # solve and split hold each other: break the cycle
     return SearchResult(EXACT, val, val, meter.nodes)
 
 

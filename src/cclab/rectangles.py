@@ -161,7 +161,8 @@ def _mask_lt(p: int, q: int) -> bool:
     return q >= low if p & low else p < low
 
 
-def enumerate_maximal_mono(f: BoolFun, budget: int = 200_000) -> EnumerationResult:
+def enumerate_maximal_mono(
+        f: BoolFun, budget: int = SearchLimits.rect_budget) -> EnumerationResult:
     """All maximal monochromatic rectangles, in lexicographic order of
     (row_set, col_set).  If more than ``budget`` exist, the first
     ``budget`` found are returned with the truncated flag set."""
@@ -490,11 +491,7 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     except BudgetExceeded:
         return best_sel, False
     finally:
-        # rec holds itself in its closure, a cycle that would keep these
-        # tables alive until the cyclic garbage collector runs.
-        seen.clear()
-        cand_by_cell.clear()
-        lists.clear()
+        rec = None  # rec holds itself in its closure: break the cycle
 
 
 # ---------------------------------------------------------------------------

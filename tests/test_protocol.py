@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from cclab import (ALICE, BOB, Leaf, Node, ProtocolTree, SearchLimits,
-                   StructureError, balance, cover_number, evaluate, exact_cc,
-                   make_family, rank, restrict, splitmix64, tree_from_obj,
-                   tree_to_obj, verify)
+from cclab import (ALICE, BOB, BoolFun, Leaf, Node, ProtocolTree,
+                   SearchLimits, StructureError, balance, build_protocol,
+                   cover_number, evaluate, exact_cc, make_family, rank,
+                   restrict, splitmix64, theorem_report, tree_from_obj,
+                   tree_to_obj, verify, xor_power)
 from cclab.protocol import first_mismatch
 
 from oracles import all_sign_matrices, brute_cc, random_sign
@@ -235,6 +236,13 @@ def test_exact_cc_root_bounds_close_search():
               make_family("random", 7, seed=2)):
         res = exact_cc(f, SearchLimits(node_budget=1))
         assert (res.status, res.value, res.nodes) == ("exact", 4, 1)
+    # A constant input's floor is 0, so its ceiling is 0 too: the root
+    # is a leaf.
+    for rows, cols in ((1, 1), (2, 2), (5, 5), (1, 7), (6, 2)):
+        for v in (1, -1):
+            for caps in (None, SearchLimits(node_budget=1)):
+                res = exact_cc(BoolFun([[v] * cols] * rows), caps)
+                assert (res.status, res.value, res.nodes) == ("exact", 0, 1)
     for seed in range(1000, 1020):
         f = make_family("random", 6, seed=seed)
         d = exact_cc(f).value
@@ -279,6 +287,39 @@ def test_searches_free_their_tables_on_return():
     # the memo and candidate tables until the cyclic collector runs.
     assert _new_dicts(lambda: exact_cc(make_family("random", 6, seed=54))) == []
     assert _new_dicts(lambda: cover_number(make_family("eq", 6))) == []
+
+
+def test_calls_leave_no_cyclic_garbage():
+    # A recursive closure holds itself; each call breaks that cycle on
+    # return, so with the cyclic collector held off nothing is left for
+    # it to find.  The first run fills caches and free lists.
+    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    eq6 = make_family("eq", 6)
+    r6 = make_family("random", 6, seed=54)
+    r16 = make_family("random", 16, seed=1)
+    eq3 = make_family("eq", 3)
+    calls = {
+        "cover_number gt3^3": lambda: cover_number(
+            gt3cube, limits=SearchLimits(node_budget=500, rect_budget=100000)),
+        "cover_number eq6": lambda: cover_number(eq6),
+        "exact_cc": lambda: exact_cc(r6),
+        "exact_cc node_budget=5": lambda: exact_cc(
+            r6, SearchLimits(node_budget=5)),
+        "build_protocol + balance": lambda: balance(build_protocol(r16, 1)[0]),
+        "theorem_report": lambda: theorem_report(eq3, 2),
+    }
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in calls.items():
+            run()
+            gc.collect()
+            run()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(calls, 0)
 
 
 def test_exact_cc_interval_on_tiny_budget():

@@ -354,11 +354,11 @@ def test_cover_bound_stages_decide_alike_on_random(monkeypatch):
 
 
 def test_cover_search_frees_its_arrays_on_return():
-    # rec holds itself in its closure; with the cyclic collector held
-    # off, whatever it still references outlives the call.  At 500 nodes
-    # on gt3^3 the call keeps about 70 KB, mostly the two colors' cell
-    # orders; a memo left full would keep about 75 KB more, and the
-    # stack of rectangle lists about 575 KB more.
+    # rec holds itself in its closure until the search breaks the cycle
+    # on return; with the cyclic collector held off, a cycle left in
+    # place keeps every table of the search: about 4.2 MB at 500 nodes
+    # on gt3^3.  The call keeps about 45 KB net: index_bits tuples
+    # parked on CPython's tuple free lists, which nothing references.
     gt3cube = xor_power(make_family("gt", 3), 3).lifted
     limits = SearchLimits(node_budget=500, rect_budget=100000)
     gc.collect()
@@ -372,7 +372,7 @@ def test_cover_search_frees_its_arrays_on_return():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert net < 100_000
+    assert net < 60_000
 
 
 def _undominated_pairwise(covs):
