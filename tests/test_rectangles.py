@@ -244,6 +244,30 @@ def test_cover_search_counts_every_visit():
         BOUNDS, 17, 31, 3002)
 
 
+def test_cover_results_pinned():
+    # Status, bounds, node count and cover of cover_number, hashed: eq8,
+    # a budget-cut gt3^3, random 3x3^3 seed 3 and 100 random 3x3-7x7
+    # inputs in both modes, also on a universe truncated to 3 rectangles,
+    # whose cover takes the greedy closure fallback's extras.
+    rng = random.Random(16)
+    runs = [(make_family("eq", 8), EXACT, None),
+            (xor_power(make_family("gt", 3), 3).lifted, EXACT,
+             SearchLimits(node_budget=3000, rect_budget=100000)),
+            (xor_power(make_family("random", 3, seed=3), 3).lifted, EXACT,
+             None)]
+    for k in range(100):
+        f = random_sign(rng.randint(3, 7), rng.randint(3, 7), 5000 + k)
+        runs += [(f, mode, lim) for mode in (EXACT, "greedy")
+                 for lim in (None, SearchLimits(rect_budget=3))]
+    digest = hashlib.sha256()
+    for f, mode, lim in runs:
+        res = cover_number(f, mode, lim)
+        digest.update(repr((res.status, res.lower, res.upper, res.nodes,
+                            [(r.key(), r.color) for r in res.cover])).encode())
+    assert digest.hexdigest() == (
+        "7d1538d0340d1aa4e800cc290c8426c993d7dcd500f87ebdea2e98e1aa43b6b6")
+
+
 def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
                            meter):
     """The color's cover search with no narrowing: every node tests the
