@@ -328,44 +328,15 @@ def _expand(node, row_classes, col_classes):
                 _expand(node.child1, row_classes, col_classes))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """One row of the lower-bound experiment: exact-or-interval D(f),
-    exact-or-bounded C(f^(+n)), and the unitless ratio
-    rho = (log2(C)/n + log2 rk) * log2 rk / D, reported for inspection
-    and never asserted against a target.  rank 1 makes the bound vacuous
-    and sets the degenerate flag."""
-
-    name: str
-    rows: int
-    cols: int
-    rank: int
-    d_lo: int
-    d_hi: int
-    d_exact: bool
-    n: int
-    c_lo: int
-    c_hi: int | None
-    c_exact: bool
-    log_c: float | None
-    rho: float | None
-    degenerate: bool
-    leaves: int
-    balanced_depth: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name, "rows": self.rows, "cols": self.cols,
-            "rank": self.rank, "D_lo": self.d_lo, "D_hi": self.d_hi,
-            "n": self.n, "C_lo": self.c_lo, "C_hi": self.c_hi,
-            "logC": self.log_c, "rho": self.rho,
-            "degenerate": self.degenerate, "leaves": self.leaves,
-            "balanced_depth": self.balanced_depth,
-        }
-
-
 def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
-                   strategy: str = DIRECT_MAX) -> TheoremReport:
+                   strategy: str = DIRECT_MAX) -> tuple:
+    """One row of the lower-bound experiment and whether it is exact:
+    (row, exact).  The row dict holds exact-or-interval D(f), in D_lo and
+    D_hi, exact-or-bounded C(f^(+n)), in C_lo and C_hi, and the unitless
+    ratio rho = (log2(C)/n + log2 rk) * log2 rk / D, reported for
+    inspection and never asserted against a target.  rank 1 makes the
+    bound vacuous and sets the degenerate flag.  exact holds when both D
+    and C are exact."""
     limits = limits or SearchLimits()
     cc = exact_cc(f, limits)
     lift = xor_power(f, n)
@@ -377,13 +348,14 @@ def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
     bal = balance(tree)
 
     log_c = math.log2(cov.upper) if cov.exact else None
-    degenerate = rk == 1
     rho = None
     if cc.exact and cov.exact and rk >= 2 and cc.upper > 0:
         rho = (log_c / n + math.log2(rk)) * math.log2(rk) / cc.upper
-    return TheoremReport(
-        name=f.label or "f", rows=f.rows, cols=f.cols, rank=rk,
-        d_lo=cc.lower, d_hi=cc.upper, d_exact=cc.exact,
-        n=n, c_lo=cov.lower, c_hi=cov.upper, c_exact=cov.exact,
-        log_c=log_c, rho=rho, degenerate=degenerate,
-        leaves=tree.leaf_count, balanced_depth=bal.depth)
+    row = {
+        "name": f.label or "f", "rows": f.rows, "cols": f.cols, "rank": rk,
+        "D_lo": cc.lower, "D_hi": cc.upper, "n": n,
+        "C_lo": cov.lower, "C_hi": cov.upper, "logC": log_c, "rho": rho,
+        "degenerate": rk == 1, "leaves": tree.leaf_count,
+        "balanced_depth": bal.depth,
+    }
+    return row, cc.exact and cov.exact

@@ -21,10 +21,16 @@ Close-by-One search over the columns (Kuznetsov 1993) finds the closed
 area bound it finds a maximum-area one, since every maximum-area
 rectangle is closed.
 
+Masks inside, Rectangles at the boundary: the searches read Python
+integer bitmasks from ``BoolFun.bits()`` and handle a rectangle as its
+(row mask, col mask) pair, in the set cover also as its cell mask (bit
+x * cols + y).  Only what a caller sees, the enumerated rectangles and
+the chosen cover, becomes Rectangles of sorted index tuples.
+``validate_cover`` shares none of the search's masks: it marks the
+covered cells in a boolean grid.
+
 Determinism: every search breaks ties lexicographically, results are
-identical across runs for the same inputs and limits.  Subsets are
-manipulated as Python integer bitmasks internally, read from
-``BoolFun.bits()``, and exposed as sorted index tuples.
+identical across runs for the same inputs and limits.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvariantError, ParseError
 from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
                      SearchLimits, SearchResult)
 from .matrix import BoolFun, index_bits
@@ -161,6 +167,26 @@ def _mask_lt(p: int, q: int) -> bool:
     return q >= low if p & low else p < low
 
 
+def _maximal_masks(f: BoolFun, budget: int):
+    """Each color's closed rectangles, {color: [(row mask, col mask)]}
+    with each list in ``Rectangle.key`` order, and the truncated flag:
+    if more than ``budget`` exist, the first ``budget`` found, color +1
+    first."""
+    found = {1: [], -1: []}
+    for color, pairs in found.items():
+        def collect(a, b):
+            if len(found[1]) + len(found[-1]) >= budget:
+                return True
+            pairs.append((a, b))
+            return False
+
+        truncated = _close_by_one(f, color, collect)
+        pairs.sort(key=lambda p: (index_bits(p[0]), index_bits(p[1])))
+        if truncated:
+            break
+    return found, truncated
+
+
 def enumerate_maximal_mono(
         f: BoolFun, budget: int = SearchLimits.rect_budget) -> EnumerationResult:
     """All maximal monochromatic rectangles, in lexicographic order of
@@ -168,19 +194,11 @@ def enumerate_maximal_mono(
     ``budget`` found are returned with the truncated flag set."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    found = []
-    for color in (1, -1):
-        def collect(a, b):
-            if len(found) >= budget:
-                return True
-            found.append(Rectangle(index_bits(a), index_bits(b), color=color))
-            return False
-
-        truncated = _close_by_one(f, color, collect)
-        if truncated:
-            break
-    found.sort(key=Rectangle.key)
-    return EnumerationResult(rects=tuple(found), truncated=truncated)
+    found, truncated = _maximal_masks(f, budget)
+    rects = [Rectangle(index_bits(a), index_bits(b), color=color)
+             for color, pairs in found.items() for a, b in pairs]
+    rects.sort(key=Rectangle.key)
+    return EnumerationResult(rects=tuple(rects), truncated=truncated)
 
 
 def max_mono_rectangle(f: BoolFun) -> Rectangle:
@@ -237,28 +255,25 @@ def validate_cover(f: BoolFun, cover: tuple) -> bool:
     """Independent re-validation of a cover, a tuple of Rectangles:
     every rectangle monochromatic with its stated color, and every cell
     covered."""
-    seen = 0
-    full = (1 << (f.rows * f.cols)) - 1
+    seen = np.zeros((f.rows, f.cols), dtype=bool)
     for r in cover:
         if r.color is None or check_monochromatic(f, r) != r.color:
             return False
-        seen |= _cells_mask(f.cols, r)
-    return seen == full
+        seen[np.ix_(r.row_set, r.col_set)] = True
+    return bool(seen.all())
 
 
-def _cells_mask(n_cols: int, r: Rectangle) -> int:
-    m = 0
-    for x in r.row_set:
-        base = x * n_cols
-        for y in r.col_set:
-            m |= 1 << (base + y)
-    return m
+def _grid_mask(a: int, b: int, cols: int) -> int:
+    """The cell mask of the rows ``a`` times the columns ``b`` in a grid
+    of ``cols`` columns, cell (x, y) at bit x * cols + y."""
+    return sum(b << x * cols for x in index_bits(a))
 
 
 def _greedy_cover(f: BoolFun, cells: int, color: int, cell_masks) -> tuple:
     """Greedy cover of the cells of one color, the mask ``cells``, by
     the rectangles of that color with the cell masks ``cell_masks``:
-    (indices into cell_masks, extra closure rectangles).
+    (indices into cell_masks, extra closure rectangles as (row mask,
+    col mask) pairs).
 
     The extras are only needed when the enumerated universe was
     truncated and left cells uncoverable."""
@@ -287,10 +302,8 @@ def _greedy_cover(f: BoolFun, cells: int, color: int, cell_masks) -> tuple:
             # where row x has this color.
             x = ((uncovered & -uncovered).bit_length() - 1) // f.cols
             rows, _ = _closure(row_cols, row_cols[x], range(f.rows))
-            rect = Rectangle(index_bits(rows), index_bits(row_cols[x]),
-                             color=color)
-            extra.append(rect)
-            uncovered &= ~_cells_mask(f.cols, rect)
+            extra.append((rows, row_cols[x]))
+            uncovered &= ~_grid_mask(rows, row_cols[x], f.cols)
         else:
             chosen.append(best_idx)
             uncovered &= ~cell_masks[best_idx]
@@ -311,21 +324,21 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     only), never a wrong exact claim.  Each color's lower bound is its
     fooling-set count until its search finishes, then its cover's size;
     ``lower`` is their sum.  The result always carries a cover
-    witnessing ``upper``, validated once and sorted by Rectangle.key.
+    witnessing ``upper``, validated once (InvariantError if it fails)
+    and sorted by Rectangle.key.
     """
     if mode not in (EXACT, "greedy"):
         raise ValueError("mode must be 'exact' or 'greedy'")
     limits = limits or SearchLimits()
-    enum = enumerate_maximal_mono(f, budget=limits.rect_budget)
-    search = mode == EXACT and not enum.truncated
+    found, truncated = _maximal_masks(f, limits.rect_budget)
+    search = mode == EXACT and not truncated
     meter = Meter(limits)
     ones = sum(m << (x * f.cols) for x, m in enumerate(f.bits()[0]))
     cover = []
     lower = 0
     exact = search
-    for color in (1, -1):
-        rects = [r for r in enum.rects if r.color == color]
-        cell_masks = [_cells_mask(f.cols, r) for r in rects]
+    for color, pairs in found.items():
+        cell_masks = [_grid_mask(a, b, f.cols) for a, b in pairs]
         cells = ones if color == -1 else ((1 << f.cells) - 1) ^ ones
         fooling = _fooling_cells(f, color)
         chosen, extra = _greedy_cover(f, cells, color, cell_masks)
@@ -334,12 +347,13 @@ def cover_number(f: BoolFun, mode: str = EXACT,
             chosen, done = _exact_color_cover(cells, cell_masks, chosen,
                                               fooling, meter)
             exact = exact and done
-        cover += [rects[i] for i in chosen] + extra
+        cover += [Rectangle(index_bits(a), index_bits(b), color=color)
+                  for a, b in [pairs[i] for i in chosen] + extra]
         lower += len(chosen) if done else fooling.bit_count()
 
     cover = tuple(sorted(cover, key=Rectangle.key))
     if not validate_cover(f, cover):
-        raise AssertionError("cover failed re-validation")
+        raise InvariantError("cover failed re-validation")
     status = (EXACT if exact else BOUNDS if mode == "greedy" or search
               else INCONCLUSIVE)
     return SearchResult(status, lower, len(cover), meter.nodes, cover)

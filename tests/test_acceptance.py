@@ -154,8 +154,8 @@ def test_criterion_5_reference_values():
         lifted = xor_power(xor2, n).lifted
         checks.append(exact_cc(lifted).value == 2)
     checks.append(rank(xor2) == 1)
-    rep = theorem_report(xor2, 2)
-    checks.append(rep.degenerate)
+    row, _ = theorem_report(xor2, 2)
+    checks.append(row["degenerate"])
     _criterion(5, all(checks),
                f"D(xor2)=2, D(xor2 lifts)=2, rank=1, degeneracy flag "
                f"({checks})")

@@ -7,7 +7,8 @@ from cclab import (CapacityError, InvariantError, Rectangle, SearchLimits,
                    leaf_budget, make_family, max_mono_rectangle, rank,
                    rank_step_budget, restrict, shrink_step_budget,
                    theorem_report, verify, xor_power)
-from cclab.builder import (ALICE_SENDS, DIRECT_MAX, LIFT_EXTRACT, choose_split,
+from cclab.builder import (ALICE_SENDS, DIRECT_MAX, LIFT_EXTRACT,
+                           _area_guarantee, choose_split,
                            find_big_rectangle)
 from cclab.rectangles import EXACT
 
@@ -123,6 +124,13 @@ def test_step_budget_helpers():
     assert shrink_step_budget(2, 9, 2) == 48  # ceil(16 * 3) via integer root
 
 
+def test_area_guarantee_at_its_exact_boundary():
+    # (4a)^n * C >= cells^n, met with equality, and missed by one.
+    assert _area_guarantee(1, 16, 16, 2)  # 16 * 16 == 16**2
+    assert not _area_guarantee(1, 15, 14, 2)  # 16 * 14 == 15**2 - 1
+    assert not _area_guarantee(1, 5, 1, 1)  # 4 == 5 - 1
+
+
 # ----------------------------------------------------------- build
 
 def test_build_constant_single_leaf():
@@ -231,37 +239,45 @@ def test_balanced_composition():
 # ----------------------------------------------------------- report
 
 def test_report_xor2_degenerate():
-    rep = theorem_report(make_family("xor", 2), 1)
-    assert rep.degenerate and rep.rank == 1
-    assert rep.d_exact and rep.d_lo == rep.d_hi == 2
-    assert rep.rho is None
+    row, exact = theorem_report(make_family("xor", 2), 1)
+    assert row["degenerate"] and row["rank"] == 1
+    assert exact and row["D_lo"] == row["D_hi"] == 2
+    assert row["rho"] is None
 
 
 def test_report_eq2_n2_all_exact():
-    rep = theorem_report(make_family("eq", 2), 2)
-    assert rep.d_exact and rep.c_exact
-    assert rep.d_lo == 2
-    assert rep.c_lo == rep.c_hi == 4
-    assert abs(rep.log_c - 2.0) < 1e-9
-    assert rep.degenerate  # eq2's sign matrix has rank 1
+    row, exact = theorem_report(make_family("eq", 2), 2)
+    assert list(row) == ["name", "rows", "cols", "rank", "D_lo", "D_hi", "n",
+                         "C_lo", "C_hi", "logC", "rho", "degenerate",
+                         "leaves", "balanced_depth"]
+    assert exact
+    assert row["D_lo"] == 2
+    assert row["C_lo"] == row["C_hi"] == 4
+    assert abs(row["logC"] - 2.0) < 1e-9
+    assert row["degenerate"]  # eq2's sign matrix has rank 1
 
 
 def test_report_eq3_n2_rho_computed():
-    rep = theorem_report(make_family("eq", 3), 2)
-    assert rep.d_exact and rep.c_exact and not rep.degenerate
-    want = (rep.log_c / 2 + math.log2(rep.rank)) * math.log2(rep.rank) / rep.d_hi
-    assert abs(rep.rho - want) < 1e-12
+    row, exact = theorem_report(make_family("eq", 3), 2)
+    assert exact and not row["degenerate"]
+    lg = math.log2(row["rank"])
+    want = (row["logC"] / 2 + lg) * lg / row["D_hi"]
+    assert abs(row["rho"] - want) < 1e-12
 
 
 def test_report_eq4_n2_bounded_cover_ok():
-    rep = theorem_report(make_family("eq", 4), 2,
-                         limits=SearchLimits(node_budget=3000))
-    assert rep.d_exact and rep.d_lo == rep.d_hi == 3
-    assert rep.rank == 4
-    assert rep.c_lo <= rep.c_hi
-    if not rep.c_exact:
-        assert rep.log_c is None and rep.rho is None
-    assert rep.leaves >= 1 and rep.balanced_depth >= 1
+    limits = SearchLimits(node_budget=3000)
+    row, exact = theorem_report(make_family("eq", 4), 2, limits=limits)
+    assert exact_cc(make_family("eq", 4), limits).exact
+    assert row["D_lo"] == row["D_hi"] == 3
+    assert row["rank"] == 4
+    assert row["C_lo"] <= row["C_hi"]
+    # D is exact, so the row is exact exactly when C is, and logC is
+    # given only for an exact C.
+    assert exact == (row["logC"] is not None)
+    if not exact:
+        assert row["rho"] is None
+    assert row["leaves"] >= 1 and row["balanced_depth"] >= 1
 
 
 def test_build_ranks_each_block_once(monkeypatch):

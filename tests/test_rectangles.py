@@ -10,8 +10,9 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    cover_number, enumerate_maximal_mono, exact_cc,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
-from cclab import rectangles
+from cclab import InvariantError, rectangles
 from cclab.limits import BudgetExceeded
+from cclab.matrix import index_bits
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
                               _greedy_cover, _undominated, format_rect,
                               parse_rect)
@@ -476,7 +477,9 @@ def test_greedy_cover_first_best_pick():
                                          [_cells(f, rects[i]) for i in ids])
             assert [ids[i] for i in picks] == [
                 i for i in want[0] if rects[i].color == color]
-            assert extra == [r for r in want[1] if r.color == color]
+            assert [Rectangle(index_bits(a), index_bits(b), color=color)
+                    for a, b in extra] == [r for r in want[1]
+                                           if r.color == color]
         fallbacks += bool(want[1])
     assert fallbacks >= 10
 
@@ -491,6 +494,58 @@ def test_cover_truncated_universe_inconclusive():
     assert res.cover is not None and validate_cover(f, res.cover)
     exact = cover_number(f)
     assert res.lower <= exact.value
+
+
+def test_cover_builds_rectangles_only_for_its_cover(monkeypatch):
+    made = []
+
+    class Counted(Rectangle):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(rectangles, "Rectangle", Counted)
+    cases = [(make_family("eq", 4), None),
+             (xor_power(make_family("gt", 3), 3).lifted,
+              SearchLimits(node_budget=500, rect_budget=100000)),
+             (random_sign(5, 5, 10), SearchLimits(rect_budget=3))]
+    for f, lim in cases:
+        for mode in (EXACT, "greedy"):
+            made.clear()
+            res = cover_number(f, mode, lim)
+            assert len(made) == len(res.cover) > 0
+
+
+def _singleton_cover(f):
+    return [Rectangle((x,), (y,), color=int(f.sign[x, y]))
+            for x in range(f.rows) for y in range(f.cols)]
+
+
+def test_validate_cover_rejects_each_defect():
+    f = random_sign(4, 5, 31)
+    cells = _singleton_cover(f)
+    assert validate_cover(f, tuple(cells))
+    # Each cell left out in turn: the rest still covers every other one.
+    for k in range(len(cells)):
+        assert not validate_cover(f, tuple(cells[:k] + cells[k + 1:]))
+    r = cells[7]
+    wrong = Rectangle(r.row_set, r.col_set, color=-r.color)
+    for bad in (wrong, Rectangle(r.row_set, r.col_set)):
+        assert not validate_cover(f, tuple(cells[:7] + [bad] + cells[8:]))
+    # The whole grid is not monochromatic under either color.
+    for color in (1, -1):
+        grid = Rectangle(range(f.rows), range(f.cols), color=color)
+        assert check_monochromatic(f, grid) is None
+        assert not validate_cover(f, tuple(cells + [grid]))
+
+
+def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
+    def short(universe, cell_masks, incumbent, fooling_mask, meter):
+        return incumbent[:-1], True  # eq4's greedy covers are minimal
+
+    monkeypatch.setattr(rectangles, "_exact_color_cover", short)
+    with pytest.raises(InvariantError, match="re-validation"):
+        cover_number(make_family("eq", 4))
 
 
 def test_fooling_bound_sound():
