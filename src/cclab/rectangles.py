@@ -167,7 +167,7 @@ def _mask_lt(p: int, q: int) -> bool:
     return q >= low if p & low else p < low
 
 
-def _maximal_masks(f: BoolFun, budget: int):
+def _maximal_masks(f: BoolFun, budget: int) -> tuple:
     """Each color's closed rectangles, {color: [(row mask, col mask)]}
     with each list in ``Rectangle.key`` order, and the truncated flag:
     if more than ``budget`` exist, the first ``budget`` found, color +1

@@ -46,8 +46,7 @@ MUTANTS = (
      CAUGHT, "tests/test_rectangles.py::test_cover_results_pinned"),
     ("cover_depth_prune", "src/cclab/rectangles.py",
      "if len(chosen) + 1 >= best_size:", "if len(chosen) + 2 >= best_size:",
-     CAUGHT,
-     "tests/test_rectangles.py::test_cover_search_counts_every_visit"),
+     CAUGHT, "tests/test_rectangles.py::test_cover_matches_brute_force"),
     ("split_rule", "src/cclab/builder.py",
      "if 2 * rank_row <= rk + 3:", "if 2 * rank_row <= rk + 4:", CAUGHT,
      "tests/test_cli.py::test_construction_outputs_pinned"),
@@ -115,11 +114,11 @@ def main(argv: list) -> int:
     chosen = [m for m in MUTANTS if not argv or m[0] in argv]
     survivors, surprises = [], []
     for name, file, old, new, expected, note in chosen:
-        failed = run_mutant(file, old, new,
-                            note if expected == CAUGHT else None)
+        test = note if expected == CAUGHT else None
+        failed = run_mutant(file, old, new, test)
         if failed is None and expected != EQUIVALENT:
             survivors.append(name)
-        if failed != (note if expected == CAUGHT else None):
+        if failed != test:
             surprises.append(name)
         shown = "SURVIVED" if failed is None else f"caught by {failed}"
         print(f"{name:24} {shown}  [{expected}: {note}]", flush=True)

@@ -178,6 +178,9 @@ def test_cover_eq4_is_eight_and_validates():
 def test_cover_matches_brute_force():
     mats = list(all_sign_matrices(2, 2))
     mats += [random_sign(3, 3, 400 + s) for s in range(10)]
+    # 2x2 to 4x4: 12 of these 60 search below the root.
+    mats += [random_sign(2 + k % 3, 2 + k // 3 % 3, 400 + k)
+             for k in range(10, 70)]
     for f in mats:
         res = cover_number(f)
         assert res.status == EXACT
