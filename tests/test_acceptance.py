@@ -67,6 +67,19 @@ def test_criterion_1_extraction_exhaustive(extraction_runs):
                f"({bad} failures)")
 
 
+def test_extraction_choices_pinned(extraction_runs):
+    # SHA-256 of what every extraction of criterion 1 chose: T's index
+    # sets and color, the coordinate, the prefix/suffix and the parity
+    # bits.
+    h = hashlib.sha256()
+    for _, n, _, t, cert in extraction_runs:
+        h.update(repr((n, t.key(), t.color, cert.i, cert.x_prefix,
+                       cert.y_suffix, cert.u, cert.v)).encode())
+    assert len(extraction_runs) == 24136
+    assert h.hexdigest() == ("7ad4126f1996b830a8db97e7365f88ec"
+                             "f73f75997613eb1f5e44fd3b637845d3")
+
+
 def test_criterion_2_chain_rule(extraction_runs):
     worst = 0.0
     for _, _, r, _, cert in extraction_runs:

@@ -225,6 +225,7 @@ def test_build_balance_verify_pipeline(tmp_path, capsys):
 # SHA-256 of the protocol file, its trace and the balanced protocol of
 # `build` then `balance`.  The direct builds of ip8, eq12 and random
 # 16x16 seed 1 split on both sides; the lifts split on one side each.
+# The exact lift of ip8 records both checks, true, on its 5 split steps.
 CONSTRUCTION_PINS = (
     (["--family", "ip", "--m", "8"],
      "c84f4e2fc385dbd9a6587c2a0b72c666cbe440078e8bc05b62f4de03264aec52",
@@ -247,6 +248,10 @@ CONSTRUCTION_PINS = (
      "ac01cc39ff258fc21604cca4ba29f9b7164ffa4e7b04957babd68ca1d3baef8f",
      "441aed3b43498c867a623ae7506c84d0ab7bff87878775a1e6d661d759f9d1e9",
      "be9f530611fce0bfc2122f215da6a206edb8cced24aabd598b335f680baa6c45"),
+    (["--family", "ip", "--m", "8", "--strategy", "lift", "--mode", "exact"],
+     "c84f4e2fc385dbd9a6587c2a0b72c666cbe440078e8bc05b62f4de03264aec52",
+     "6cc6079d11c26a6828a10335b4c5a4469b8a233c3952a3b1b70ff8e182376452",
+     "d41349d39dfd08c0e2fad126c86277b775b2c5ec9d3ddcd749ca6eaf88d69284"),
     (["--family", "eq", "--m", "4", "--mode", "exact"],
      "652632160c222c4adac4476aee16918e76ba73bbb1aa1a1582e7bac2ce1e705d",
      "257599f7c535cb504ad8e0f96161bab8ddd2e84a7f444d9794796faa2f968358",
