@@ -146,8 +146,8 @@ def _area_guarantee(area: int, cells: int, cover_value: int, n: int) -> bool:
     return (4 * area) ** n * cover_value >= cells ** n
 
 
-def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
-                       cover_value: int | None = None):
+def find_big_rectangle(f: BoolFun, n: int,
+                       strategy: str = DIRECT_MAX) -> Rectangle:
     """A large monochromatic rectangle of f.
 
     strategy "lift": build f^(+n), take its maximum monochromatic
@@ -155,28 +155,18 @@ def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     proof path; needs the lift under the desk-scale cap).
     strategy "direct": the maximum monochromatic rectangle of f itself,
     which is at least as large as any extraction can promise.
-
-    Returns (rect, check) where check records, when a cover value for
-    f^(+n) is supplied, whether area >= cells / (4 * C**(1/n)) held
-    (integer form); check is None when no cover value is known.
     """
     if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == LIFT_EXTRACT:
-        try:
-            lift = xor_power(f, n)
-        except CapacityError as e:
-            raise CapacityError(
-                f"{e}; use strategy '{DIRECT_MAX}' for submatrices whose "
-                f"lift exceeds the cap") from None
-        big = max_mono_rectangle(lift.lifted)
-        rect, _ = extract_rectangle(lift, big)
-    else:
-        rect = max_mono_rectangle(f)
-    check = None
-    if cover_value is not None:
-        check = _area_guarantee(rect.area, f.cells, cover_value, n)
-    return rect, check
+    if strategy == DIRECT_MAX:
+        return max_mono_rectangle(f)
+    try:
+        big = max_mono_rectangle(xor_power(f, n))
+    except CapacityError as e:
+        raise CapacityError(
+            f"{e}; use strategy '{DIRECT_MAX}' for submatrices whose "
+            f"lift exceeds the cap") from None
+    return extract_rectangle(f, n, big)[0]
 
 
 def choose_split(f: BoolFun, R: Rectangle, rk: int) -> SplitDecision:
@@ -246,20 +236,18 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         return _halve(groups, 0, len(groups), value_leaf)
 
     def rec(cur_rows, cur_cols, rk):
-        # The tree of the block cur_rows x cur_cols of rank rk, the most
-        # rank and shrink steps on its root-to-leaf paths, and the kind
-        # of its first base case.
+        # The tree of the block cur_rows x cur_cols of rank rk, and the
+        # most rank and shrink steps on its root-to-leaf paths.
         sub = block(cur_rows, cur_cols)
         cells = sub.cells
         if cells <= 1:
             steps.append(BuildStep("tiny", sub.rows, sub.cols, rk))
-            leaf = Leaf(int(fd.sign[cur_rows[0], cur_cols[0]] == -1))
-            return leaf, 0, 0, "tiny"
+            return Leaf(int(fd.sign[cur_rows[0], cur_cols[0]] == -1)), 0, 0
         if rk < 5:
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
-            return low_rank_tree(cur_rows, cur_cols), 0, 0, "low_rank"
+            return low_rank_tree(cur_rows, cur_cols), 0, 0
 
-        rect, area_check = find_big_rectangle(sub, n, strategy, cover_value)
+        rect = find_big_rectangle(sub, n, strategy)
         split = choose_split(sub, rect, rk)
         alice = split.side == ALICE_SENDS
 
@@ -272,8 +260,9 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         outside = tuple(x for x in cur if x not in kept)
         in_rows, in_cols = part(inside)
         removed = len(in_rows) * len(in_cols)
-        shrink_check = None
+        area_check = shrink_check = None
         if cover_value is not None:
+            area_check = _area_guarantee(rect.area, cells, cover_value, n)
             shrink_check = _area_guarantee(removed, cells, cover_value, n)
         steps.append(BuildStep(
             "split", sub.rows, sub.cols, rk, side=split.side,
@@ -282,15 +271,15 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
         # The stacked block is the chosen side's block, of rank
         # chosen_bound; only the complement's rank is new.
-        child1, r1, s1, base = rec(in_rows, in_cols, split.chosen_bound)
+        child1, r1, s1 = rec(in_rows, in_cols, split.chosen_bound)
         out_rows, out_cols = part(outside)
-        child0, r0, s0, _ = rec(out_rows, out_cols,
-                                rank(block(out_rows, out_cols)))
+        child0, r0, s0 = rec(out_rows, out_cols,
+                             rank(block(out_rows, out_cols)))
         node = Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
-        return node, max(r1 + 1, r0), max(s1, s0 + 1), base
+        return node, max(r1 + 1, r0), max(s1, s0 + 1)
 
     try:
-        root_d, rank_steps, shrink_steps, base_case = rec(
+        root_d, rank_steps, shrink_steps = rec(
             tuple(range(fd.rows)), tuple(range(fd.cols)), input_rank)
     finally:
         rec = None  # rec holds itself in its closure: break the cycle
@@ -299,6 +288,9 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                         f.rows, f.cols)
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
+    # Steps are in pre-order, so the first base case is the first step
+    # that is not a split.
+    base_case = next(s.kind for s in steps if s.kind != "split")
     trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
                        shrink_steps=shrink_steps, base_case=base_case,
                        input_rank=input_rank, cover_value=cover_value, n=n)
@@ -339,8 +331,7 @@ def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
     and C are exact."""
     limits = limits or SearchLimits()
     cc = exact_cc(f, limits)
-    lift = xor_power(f, n)
-    cov = cover_number(lift.lifted, EXACT, limits)
+    cov = cover_number(xor_power(f, n), EXACT, limits)
     cover_value = cov.value if cov.exact else None
     tree, trace = build_protocol(f, n, strategy=strategy,
                                  cover_value=cover_value)

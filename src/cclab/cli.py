@@ -201,20 +201,21 @@ def _cmd_measure(args) -> int:
 def _cmd_extract(args) -> int:
     f = _load_input(args)
     rect = read_rect(args.rect)
-    lift = xor_power(f, args.n)
-    t, cert = extract_rectangle(lift, rect)
-    record = cert.as_record()
-    record["T_rows"] = list(t.row_set)
-    record["T_cols"] = list(t.col_set)
-    k = math.log2(cert.r_size)
+    t, cert = extract_rectangle(f, args.n, rect)
+    record = {
+        "i": cert.i, "x_prefix": list(cert.x_prefix),
+        "y_suffix": list(cert.y_suffix), "u": cert.u, "v": cert.v,
+        "R_size": rect.area, "T_size": t.area, "color": t.color,
+        "T_rows": list(t.row_set), "T_cols": list(t.col_set),
+        "check": f"(4*{t.area})^{args.n} >= {rect.area}: pass",
+    }
+    k = math.log2(rect.area)
     guarantee = 2.0 ** (k / args.n - 2)
     if args.format == "json":
         record["guarantee"] = guarantee
         _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        lines = [f"{key}: {_fmt(record[key])}" for key in
-                 ("i", "x_prefix", "y_suffix", "u", "v", "R_size", "T_size",
-                  "color", "T_rows", "T_cols", "check")]
+        lines = [f"{key}: {_fmt(value)}" for key, value in record.items()]
         lines.append(f"guarantee: |T| >= 2^(k/n - 2) = {_fmt(guarantee)}")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -227,7 +228,7 @@ def _cmd_build(args) -> int:
     limits = _limits(args)
     cover_value = None
     if args.mode == "exact":
-        cov = cover_number(xor_power(f, args.n).lifted, EXACT, limits)
+        cov = cover_number(xor_power(f, args.n), EXACT, limits)
         cover_value = cov.value if cov.exact else None
     tree, trace = build_protocol(f, args.n, strategy=args.strategy,
                                  cover_value=cover_value)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .matrix import LiftedFun
+from .matrix import BoolFun, xor_power
 from .rectangles import Rectangle, check_monochromatic
 
 TIE_TOL = 1e-9
@@ -59,14 +59,11 @@ def _argmax_tied_lex(items):
 
 @dataclass(frozen=True)
 class ExtractionCertificate:
-    """Exact record of one extraction.
+    """What one extraction chose, and the entropies it chose by.
 
     i, x_prefix, y_suffix, u and v are the tuple fixed during
     extraction: coordinate i (1-based), the fixed x-prefix and y-suffix,
-    and the parity bits u, v.  Every certificate returned has passed
-    the integer check (4*t_size)**n >= r_size, the form of the guarantee
-    |T| >= 2**(k/n - 2) with k = log2 |R|; a failing check raises
-    InvariantError instead.
+    and the parity bits u, v.
     """
 
     i: int
@@ -74,26 +71,9 @@ class ExtractionCertificate:
     y_suffix: tuple
     u: int
     v: int
-    r_size: int
-    t_size: int
-    color: int
-    n: int
     coordinate_entropies: tuple  # H(X_i Y_i | X_<i Y_>i) for each i
     stage2_entropy: float        # H(X_i Y_i | x_<i, y_>i)
     stage3_entropy: float        # H(X_i Y_i | x_<i, y_>i, u, v)
-
-    def as_record(self) -> dict:
-        return {
-            "i": self.i,
-            "x_prefix": list(self.x_prefix),
-            "y_suffix": list(self.y_suffix),
-            "u": self.u,
-            "v": self.v,
-            "R_size": self.r_size,
-            "T_size": self.t_size,
-            "color": self.color,
-            "check": f"(4*{self.t_size})^{self.n} >= {self.r_size}: pass",
-        }
 
 
 def _side_groups(tuples, i, prefix_side):
@@ -132,27 +112,27 @@ def _decode(indices, radix: int, n: int) -> list:
     return list(zip(*(c.tolist() for c in coords)))
 
 
-def extract_rectangle(lift: LiftedFun, R: Rectangle):
-    """From a monochromatic rectangle R of lift.lifted, extract a
-    monochromatic rectangle T of the base function.
+def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
+    """From a monochromatic rectangle R of the lift f^(+n), extract a
+    monochromatic rectangle T of f.
 
-    Returns (T, ExtractionCertificate).  The certificate's size check
-    (4|T|)**n >= |R| and T's monochromaticity are verified exactly
-    before returning; a failure there raises InvariantError and is
-    itself a bug.
+    Returns (T, ExtractionCertificate).  T's monochromaticity and the
+    size check (4|T|)**n >= |R|, the integer form of the guarantee
+    |T| >= 2**(k/n - 2) with k = log2 |R|, are verified exactly before
+    returning; a failure there raises InvariantError and is itself a
+    bug.
     """
-    color = check_monochromatic(lift.lifted, R)
+    lift = xor_power(f, n)
+    color = check_monochromatic(lift, R)
     if color is None:
-        sub = lift.lifted.sign[np.ix_(R.row_set, R.col_set)]
+        sub = lift.sign[np.ix_(R.row_set, R.col_set)]
         i, j = divmod(int(np.argmax(sub != sub[0, 0])), sub.shape[1])
         raise ValueError(
             f"rectangle is not monochromatic: cell ({R.row_set[i]}, "
             f"{R.col_set[j]}) breaks the color of ({R.row_set[0]}, "
             f"{R.col_set[0]})")
-    n = lift.n
-    base = lift.base
-    xs = _decode(R.row_set, base.rows, n)
-    ys = _decode(R.col_set, base.cols, n)
+    xs = _decode(R.row_set, f.rows, n)
+    ys = _decode(R.col_set, f.cols, n)
 
     # Stage 1: pick the coordinate with maximal H(X_i Y_i | X_<i Y_>i).
     # X and Y are independent across a rectangle, so the conditional
@@ -177,14 +157,14 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
         if t[:i_star] == p_star:
             v_bit = 0
             for x, y in zip(t[i_star + 1:], s_star):
-                v_bit ^= base.f_value(x, y)
+                v_bit ^= f.f_value(x, y)
             by_v[v_bit][t[i_star]] += 1
     by_u = defaultdict(Counter)
     for t in ys:
         if t[i_star + 1:] == s_star:
             u_bit = 0
             for x, y in zip(p_star, t):
-                u_bit ^= base.f_value(x, y)
+                u_bit ^= f.f_value(x, y)
             by_u[u_bit][t[i_star]] += 1
 
     v_star, hx3 = _best_group(by_v)
@@ -197,7 +177,7 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
     T = Rectangle(t_rows, t_cols, color=t_color)
 
     # Exact re-verification of the promised guarantees.
-    if check_monochromatic(base, T) != t_color:
+    if check_monochromatic(f, T) != t_color:
         raise InvariantError("extracted support is not monochromatic in the base")
     t_size = len(t_rows) * len(t_cols)
     if (4 * t_size) ** n < R.area:
@@ -206,7 +186,6 @@ def extract_rectangle(lift: LiftedFun, R: Rectangle):
 
     cert = ExtractionCertificate(
         i=i_star + 1, x_prefix=p_star, y_suffix=s_star, u=u_star, v=v_star,
-        r_size=R.area, t_size=t_size, color=t_color, n=n,
         coordinate_entropies=tuple(coord_h),
         stage2_entropy=stage2, stage3_entropy=stage3)
     return T, cert

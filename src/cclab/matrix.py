@@ -18,8 +18,6 @@ cells, derived on first use and cached, never written again, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, ParseError
@@ -156,20 +154,6 @@ def _group(masks, members: int, within: int) -> list:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class LiftedFun:
-    """The XOR-lift f^(+n): base function, lift order, lifted matrix.
-
-    Lifted row i is the tuple np.unravel_index(i, (base.rows,) * n), in
-    C order: the first coordinate is most significant, the order of the
-    Kronecker power.  Columns likewise with base.cols.
-    """
-
-    base: BoolFun
-    n: int
-    lifted: BoolFun
-
-
 def make_family(name: str, m: int, seed: int | None = None,
                 const_value: int | None = None) -> BoolFun:
     """Build the m x m sign matrix of a named test-fixture family.
@@ -215,7 +199,7 @@ def make_family(name: str, m: int, seed: int | None = None,
     return BoolFun(1 - 2 * f.astype(np.int8), label=f"{name}{m}")
 
 
-def xor_power(f: BoolFun, n: int) -> LiftedFun:
+def xor_power(f: BoolFun, n: int) -> BoolFun:
     """Lift f to f^(+n): the parity of n independent evaluations of f.
 
     The lifted sign matrix is the n-fold Kronecker power of f's sign
@@ -235,7 +219,7 @@ def xor_power(f: BoolFun, n: int) -> LiftedFun:
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)
     label = f"{f.label or 'f'}^xor{n}"
-    return LiftedFun(base=f, n=n, lifted=BoolFun(sign, label=label))
+    return BoolFun(sign, label=label)
 
 
 def exact_rank(mat) -> int:

@@ -60,10 +60,11 @@ MUTANTS = (
      "tests/test_cli.py::test_measure_inconclusive_exit_2"),
     ("extraction_boundary", "src/cclab/entropy.py",
      "if (4 * t_size) ** n < R.area:", "if (4 * t_size) ** n < R.area - 1:",
-     OPEN, "no test reaches (4|T|)^n == |R| - 1 (ROADMAP item 1)"),
+     CAUGHT,
+     "tests/test_entropy.py::test_extract_size_check_at_its_exact_boundary"),
     ("meter_deadline_stride", "src/cclab/limits.py",
-     "self.nodes % 256 == 0", "self.nodes % 100_000 == 0", OPEN,
-     "no test bounds the overrun of ms= (ROADMAP items 1 and 7)"),
+     "self.nodes % 256 == 0", "self.nodes % 100_000 == 0", CAUGHT,
+     "tests/test_rectangles.py::test_meter_reads_the_clock_every_256_ticks"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

@@ -46,11 +46,10 @@ def extraction_runs():
     runs = []
     for f in _extraction_corpus():
         for n in (1, 2):
-            lift = xor_power(f, n)
-            enum = enumerate_maximal_mono(lift.lifted)
+            enum = enumerate_maximal_mono(xor_power(f, n))
             assert not enum.truncated
             for r in enum.rects:
-                t, cert = extract_rectangle(lift, r)
+                t, cert = extract_rectangle(f, n, r)
                 runs.append((f, n, r, t, cert))
     return runs
 
@@ -60,7 +59,7 @@ def test_criterion_1_extraction_exhaustive(extraction_runs):
     for f, n, r, t, cert in extraction_runs:
         if check_monochromatic(f, t) != t.color:
             bad += 1
-        elif (4 * cert.t_size) ** n < r.area:
+        elif (4 * t.area) ** n < r.area:
             bad += 1
     _criterion(1, bad == 0,
                f"extraction certificate on {len(extraction_runs)} rectangles "
@@ -106,8 +105,7 @@ def _builder_corpus():
 def builder_runs():
     runs = []
     for f, n in _builder_corpus():
-        lift = xor_power(f, n)
-        cov = cover_number(lift.lifted)
+        cov = cover_number(xor_power(f, n))
         assert cov.status == EXACT, (f.label, n)
         tree, trace = build_protocol(f, n, cover_value=cov.value)
         runs.append((f, n, cov.value, tree, trace))
@@ -164,7 +162,7 @@ def test_criterion_5_reference_values():
     checks = []
     checks.append(exact_cc(xor2).value == 2)
     for n in (1, 2):
-        lifted = xor_power(xor2, n).lifted
+        lifted = xor_power(xor2, n)
         checks.append(exact_cc(lifted).value == 2)
     checks.append(rank(xor2) == 1)
     row, _ = theorem_report(xor2, 2)
@@ -182,9 +180,9 @@ def test_criterion_6_cross_oracle(builder_runs):
         rk = rank(f)
         # rank multiplicativity at the instance's n, and at n=2 so the
         # n=1 instances are not checked vacuously
-        if rank(xor_power(f, n).lifted) != rk ** n:
+        if rank(xor_power(f, n)) != rk ** n:
             bad.append(("rank-mult", f.label))
-        if n == 1 and rank(xor_power(f, 2).lifted) != rk ** 2:
+        if n == 1 and rank(xor_power(f, 2)) != rk ** 2:
             bad.append(("rank-mult-2", f.label))
         cc = exact_cc(f, SearchLimits(node_budget=600_000))
         if cc.status == "exact":

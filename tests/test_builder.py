@@ -67,20 +67,19 @@ def test_choose_split_rejects_non_monochromatic():
 
 def test_find_big_constant_full_matrix():
     f = make_family("const", 3, const_value=0)
-    rect, check = find_big_rectangle(f, 1)
-    assert rect.area == 9 and check is None
+    rect = find_big_rectangle(f, 1)
+    assert rect.area == 9
 
 
 def test_find_big_direct_eq4():
-    rect, check = find_big_rectangle(make_family("eq", 4), 2)
+    rect = find_big_rectangle(make_family("eq", 4), 2)
     assert rect.area == 4
 
 
 def test_find_big_lift_extract_eq4():
     eq4 = make_family("eq", 4)
-    lift = xor_power(eq4, 2)
-    big = max_mono_rectangle(lift.lifted)
-    rect, _ = find_big_rectangle(eq4, 2, strategy="lift")
+    big = max_mono_rectangle(xor_power(eq4, 2))
+    rect = find_big_rectangle(eq4, 2, strategy="lift")
     from cclab import check_monochromatic
     assert check_monochromatic(eq4, rect) == rect.color
     assert (4 * rect.area) ** 2 >= big.area
@@ -92,9 +91,8 @@ def test_find_big_area_check_with_exact_cover():
         cov = cover_number(f)
         assert cov.status == EXACT
         for strategy in ("direct", "lift"):
-            rect, check = find_big_rectangle(f, 1, strategy=strategy,
-                                             cover_value=cov.value)
-            assert check is True
+            rect = find_big_rectangle(f, 1, strategy=strategy)
+            assert _area_guarantee(rect.area, f.cells, cov.value, 1)
 
 
 def test_find_big_capacity_error_advises_direct():

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cclab import (Rectangle, check_monochromatic, enumerate_maximal_mono,
-                   extract_rectangle, make_family, splitmix64, xor_power)
+from cclab import (BoolFun, InvariantError, Rectangle, check_monochromatic,
+                   enumerate_maximal_mono, extract_rectangle, make_family,
+                   splitmix64, xor_power)
+from cclab import entropy
 from cclab.entropy import _entropy_of_counts, _grouped_cond_entropy
 
 from oracles import all_sign_matrices, random_sign
@@ -72,51 +74,59 @@ def test_extract_n1_returns_rectangle_unchanged():
     bases = (list(all_sign_matrices(2, 2)) + list(all_sign_matrices(2, 3))
              + [random_sign(3, 3, 3000 + seed) for seed in range(40)])
     for f in bases:
-        lift = xor_power(f, 1)
-        for r in enumerate_maximal_mono(lift.lifted).rects:
-            t, cert = extract_rectangle(lift, r)
+        for r in enumerate_maximal_mono(xor_power(f, 1)).rects:
+            t, cert = extract_rectangle(f, 1, r)
             color = check_monochromatic(f, r)
             assert t == Rectangle(r.row_set, r.col_set, color=color)
             assert cert.i == 1 and cert.u == cert.v == 0
             assert cert.x_prefix == () and cert.y_suffix == ()
-            assert cert.t_size == cert.r_size == r.area
 
 
 def test_extract_guarantee_k6_n2():
     # |R| = 64, n = 2: the certified size is at least 2**(6/2 - 2) = 2
     f = make_family("const", 8, const_value=0)
-    lift = xor_power(f, 2)
     r = Rectangle(range(8), range(8))
-    t, cert = extract_rectangle(lift, r)
-    assert cert.r_size == 64
-    assert cert.t_size >= 2
-    assert (4 * cert.t_size) ** 2 >= 64
+    t, _ = extract_rectangle(f, 2, r)
+    assert r.area == 64
+    assert t.area >= 2
+    assert (4 * t.area) ** 2 >= 64
 
 
 def test_extract_requires_monochromatic():
-    lift = xor_power(make_family("eq", 2), 2)
     with pytest.raises(ValueError):
-        extract_rectangle(lift, Rectangle((0, 1), (0, 1)))
+        extract_rectangle(make_family("eq", 2), 2, Rectangle((0, 1), (0, 1)))
+
+
+def test_extract_size_check_at_its_exact_boundary(monkeypatch):
+    # With only the first lifted index decoded, T is one cell, so the
+    # check (4|T|)**n >= |R| reads 4 >= |R| at n = 1: it fails by one
+    # at |R| = 5 and holds with equality at |R| = 4.
+    decode = entropy._decode
+    monkeypatch.setattr(entropy, "_decode",
+                        lambda idx, radix, n: decode(idx[:1], radix, n))
+    f = BoolFun(np.ones((1, 5)))
+    with pytest.raises(InvariantError, match="size certificate"):
+        extract_rectangle(f, 1, Rectangle((0,), range(5)))
+    t, _ = extract_rectangle(f, 1, Rectangle((0,), range(4)))
+    assert t == Rectangle((0,), (0,), color=1)
 
 
 def test_extract_eq2_exhaustive_over_maximal_rects():
     f = make_family("eq", 2)
-    lift = xor_power(f, 2)
-    rects = enumerate_maximal_mono(lift.lifted).rects
+    rects = enumerate_maximal_mono(xor_power(f, 2)).rects
     assert rects
     for r in rects:
-        t, cert = extract_rectangle(lift, r)
+        t, _ = extract_rectangle(f, 2, r)
         assert check_monochromatic(f, t) == t.color
-        assert (4 * cert.t_size) ** 2 >= r.area
+        assert (4 * t.area) ** 2 >= r.area
 
 
 def _exhaustive_extract_checks(f, n):
-    lift = xor_power(f, n)
-    for r in enumerate_maximal_mono(lift.lifted).rects:
-        t, cert = extract_rectangle(lift, r)
+    for r in enumerate_maximal_mono(xor_power(f, n)).rects:
+        t, cert = extract_rectangle(f, n, r)
         # monochromatic in the base, exact integer size certificate
         assert check_monochromatic(f, t) == t.color
-        assert (4 * cert.t_size) ** n >= cert.r_size
+        assert (4 * t.area) ** n >= r.area
         # chain rule: sum_i H(X_i Y_i | X_<i Y_>i) = log2 |R|
         assert abs(sum(cert.coordinate_entropies) - math.log2(r.area)) < TOL
         # two-bit loss: stage-3 entropy >= stage-2 entropy - 2
@@ -125,19 +135,19 @@ def _exhaustive_extract_checks(f, n):
         k = math.log2(r.area)
         assert cert.coordinate_entropies[cert.i - 1] >= k / n - TOL
         # product support: every pair of T is realized by a surviving point
-        _check_product_support(f, lift, r, t, cert)
+        _check_product_support(f, n, r, t, cert)
 
 
-def _check_product_support(f, lift, r, t, cert):
+def _check_product_support(f, n, r, t, cert):
     i = cert.i - 1
-    xs = [np.unravel_index(v, (f.rows,) * lift.n) for v in r.row_set]
-    ys = [np.unravel_index(v, (f.cols,) * lift.n) for v in r.col_set]
+    xs = [np.unravel_index(v, (f.rows,) * n) for v in r.row_set]
+    ys = [np.unravel_index(v, (f.cols,) * n) for v in r.col_set]
     x_ok = set()
     for xt in xs:
         if xt[:i] != cert.x_prefix:
             continue
         v = 0
-        for j in range(i + 1, lift.n):
+        for j in range(i + 1, n):
             v ^= f.f_value(xt[j], cert.y_suffix[j - i - 1])
         if v == cert.v:
             x_ok.add(xt[i])

@@ -83,20 +83,20 @@ def test_splitmix64_known_stream():
 def test_xor_power_identity():
     f = make_family("xor", 2)
     lift = xor_power(f, 1)
-    assert np.array_equal(lift.lifted.sign, f.sign)
+    assert np.array_equal(lift.sign, f.sign)
 
 
 def test_xor_power_zero_tuple_entry():
     f = make_family("xor", 2)
     lift = xor_power(f, 2)
-    assert np.unravel_index(0, (f.rows,) * lift.n) == (0, 0)
-    assert lift.lifted.sign[0, 0] == f.sign[0, 0] ** 2 == 1
+    assert np.unravel_index(0, (f.rows,) * 2) == (0, 0)
+    assert lift.sign[0, 0] == f.sign[0, 0] ** 2 == 1
 
 
 def test_xor_power_and2_matches_brute_force():
     f = make_family("and", 2)
     lift = xor_power(f, 2)
-    assert np.array_equal(lift.lifted.sign, brute_lift_sign(f, 2))
+    assert np.array_equal(lift.sign, brute_lift_sign(f, 2))
 
 
 @pytest.mark.parametrize("name,m,n", [
@@ -104,17 +104,17 @@ def test_xor_power_and2_matches_brute_force():
 ])
 def test_xor_power_families_match_brute_force(name, m, n):
     f = make_family(name, m)
-    assert np.array_equal(xor_power(f, n).lifted.sign, brute_lift_sign(f, n))
+    assert np.array_equal(xor_power(f, n).sign, brute_lift_sign(f, n))
 
 
 def test_xor_power_random_matches_brute_force():
     for seed in range(6):
         f = random_sign(3, 2, seed)
         for n in (1, 2, 3):
-            assert np.array_equal(xor_power(f, n).lifted.sign,
+            assert np.array_equal(xor_power(f, n).sign,
                                   brute_lift_sign(f, n))
     f = random_sign(4, 4, 12345)
-    assert np.array_equal(xor_power(f, 3).lifted.sign, brute_lift_sign(f, 3))
+    assert np.array_equal(xor_power(f, 3).sign, brute_lift_sign(f, 3))
 
 
 def test_xor_power_rejects_bad_n():
@@ -133,7 +133,7 @@ def test_xor_power_one_cell_base_up_to_order_24():
     # 24, past which every larger base is over it.
     f = make_family("const", 1, const_value=1)
     lift = xor_power(f, 24)
-    assert lift.lifted.sign.tolist() == [[(-1) ** 24]]
+    assert lift.sign.tolist() == [[(-1) ** 24]]
     with pytest.raises(CapacityError, match="n=25"):
         xor_power(f, 25)
 
@@ -158,7 +158,7 @@ def test_family_over_cap_builds_nothing(monkeypatch):
             make_family(name, m, seed=1)
 
 
-def test_index_codec_round_trip():
+def test_xor_power_lifted_index_order():
     # Lifted row i is the tuple np.unravel_index(i, (rows,) * n), first
     # coordinate most significant, and the lifted sign is the product of
     # the base signs over the coordinates.
@@ -171,7 +171,7 @@ def test_index_codec_round_trip():
             yt = np.unravel_index(j, (base.cols,) * 3)
             assert 4 * yt[0] + 2 * yt[1] + yt[2] == j
             want = np.prod([base.sign[x, y] for x, y in zip(xt, yt)])
-            assert lift.lifted.sign[i, j] == want
+            assert lift.sign[i, j] == want
 
 
 # ---------------------------------------------------------------- rank
@@ -202,10 +202,10 @@ def test_rank_multiplicativity_under_lift():
             f = random_sign(rows, cols, 100 + seed)
             r = rank(f)
             for n in range(1, max_n + 1):
-                assert rank(xor_power(f, n).lifted) == r ** n
+                assert rank(xor_power(f, n)) == r ** n
     # one 4x4 cube to cover the n=3 corner
     f = random_sign(4, 4, 999)
-    assert rank(xor_power(f, 3).lifted) == rank(f) ** 3
+    assert rank(xor_power(f, 3)) == rank(f) ** 3
 
 
 def test_rank_subadditivity():

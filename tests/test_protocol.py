@@ -293,7 +293,7 @@ def test_calls_leave_no_cyclic_garbage():
     # A recursive closure holds itself; each call breaks that cycle on
     # return, so with the cyclic collector held off nothing is left for
     # it to find.  The first run fills caches and free lists.
-    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    gt3cube = xor_power(make_family("gt", 3), 3)
     eq6 = make_family("eq", 6)
     r6 = make_family("random", 6, seed=54)
     r16 = make_family("random", 16, seed=1)

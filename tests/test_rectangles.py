@@ -10,8 +10,8 @@ from cclab import (Rectangle, SearchLimits, check_monochromatic,
                    cover_number, enumerate_maximal_mono, exact_cc,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
-from cclab import InvariantError, rectangles
-from cclab.limits import BudgetExceeded
+from cclab import InvariantError, limits, rectangles
+from cclab.limits import BudgetExceeded, Meter
 from cclab.matrix import index_bits
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
                               _greedy_cover, _undominated, format_rect,
@@ -210,6 +210,17 @@ def test_cover_node_budget_gives_bounds():
         assert res.lower <= exact.value <= res.upper
 
 
+def test_meter_reads_the_clock_every_256_ticks(monkeypatch):
+    # Past the deadline from the start: the clock is read, and the
+    # budget found spent, on the 256th tick and not before.
+    meter = Meter(SearchLimits(time_budget_ms=1))
+    monkeypatch.setattr(limits.time, "monotonic", lambda: float("inf"))
+    for _ in range(255):
+        meter.tick()
+    with pytest.raises(BudgetExceeded, match="time"):
+        meter.tick()
+
+
 def test_cover_search_counts_every_visit():
     # The coverage bound prunes exactly the nodes it always pruned, so
     # the node counts, budget cuts and covers stay those of a full scan.
@@ -218,15 +229,15 @@ def test_cover_search_counts_every_visit():
     assert (res.status, res.value, res.nodes) == (EXACT, 13, 36841)
     cut = cover_number(eq8, limits=SearchLimits(node_budget=36840))
     assert cut.status == BOUNDS
-    lift = xor_power(make_family("random", 3, seed=6), 3).lifted
+    lift = xor_power(make_family("random", 3, seed=6), 3)
     res = cover_number(lift)
     assert (res.status, res.value, res.nodes) == (EXACT, 16, 4415)
-    eq4sq = xor_power(make_family("eq", 4), 2).lifted
+    eq4sq = xor_power(make_family("eq", 4), 2)
     res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 19, 28, 30002)
-    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    gt3cube = xor_power(make_family("gt", 3), 3)
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
@@ -238,10 +249,10 @@ def test_cover_search_counts_every_visit():
     # its own.  Filtering its parent's list whatever its cut, or keeping
     # only the rectangles above the threshold, drops rectangles a node
     # needs, and seed 12 then claims an exact 17 or 18.
-    lift = xor_power(make_family("random", 3, seed=12), 3).lifted
+    lift = xor_power(make_family("random", 3, seed=12), 3)
     res = cover_number(lift)
     assert (res.status, res.value, res.nodes) == (EXACT, 16, 19022)
-    lift = xor_power(make_family("random", 4, seed=27), 2).lifted
+    lift = xor_power(make_family("random", 4, seed=27), 2)
     res = cover_number(lift, limits=SearchLimits(node_budget=3000,
                                                  rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
@@ -255,9 +266,9 @@ def test_cover_results_pinned():
     # whose cover takes the greedy closure fallback's extras.
     rng = random.Random(16)
     runs = [(make_family("eq", 8), EXACT, None),
-            (xor_power(make_family("gt", 3), 3).lifted, EXACT,
+            (xor_power(make_family("gt", 3), 3), EXACT,
              SearchLimits(node_budget=3000, rect_budget=100000)),
-            (xor_power(make_family("random", 3, seed=3), 3).lifted, EXACT,
+            (xor_power(make_family("random", 3, seed=3), 3), EXACT,
              None)]
     for k in range(100):
         f = random_sign(rng.randint(3, 7), rng.randint(3, 7), 5000 + k)
@@ -341,10 +352,10 @@ def test_cover_bound_stages_decide_alike(head, monkeypatch):
     # lowers its incumbent mid-search; eq4 (colors of 14 and 4
     # rectangles) and random 5x5 seed 3 (12 and 7) mix under head 7.
     cases = [(make_family("eq", 8), None),
-             (xor_power(make_family("gt", 3), 3).lifted,
+             (xor_power(make_family("gt", 3), 3),
               SearchLimits(node_budget=500, rect_budget=100000)),
-             (xor_power(make_family("random", 3, seed=3), 3).lifted, None),
-             (xor_power(make_family("random", 4, seed=28), 2).lifted,
+             (xor_power(make_family("random", 3, seed=3), 3), None),
+             (xor_power(make_family("random", 4, seed=28), 2),
               SearchLimits(node_budget=3000, rect_budget=100000)),
              (make_family("eq", 4), None),
              (make_family("random", 5, seed=3), None)]
@@ -387,7 +398,7 @@ def test_cover_search_frees_its_arrays_on_return():
     # place keeps every table of the search: about 4.2 MB at 500 nodes
     # on gt3^3.  The call keeps about 45 KB net: index_bits tuples
     # parked on CPython's tuple free lists, which nothing references.
-    gt3cube = xor_power(make_family("gt", 3), 3).lifted
+    gt3cube = xor_power(make_family("gt", 3), 3)
     limits = SearchLimits(node_budget=500, rect_budget=100000)
     gc.collect()
     gc.disable()
@@ -509,7 +520,7 @@ def test_cover_builds_rectangles_only_for_its_cover(monkeypatch):
 
     monkeypatch.setattr(rectangles, "Rectangle", Counted)
     cases = [(make_family("eq", 4), None),
-             (xor_power(make_family("gt", 3), 3).lifted,
+             (xor_power(make_family("gt", 3), 3),
               SearchLimits(node_budget=500, rect_budget=100000)),
              (random_sign(5, 5, 10), SearchLimits(rect_budget=3))]
     for f, lim in cases:
@@ -591,7 +602,7 @@ def _scan_fooling_cells(f):
 
 def test_fooling_cells_match_scan():
     mats = [random_sign(1 + s // 9, 1 + s % 9, 1200 + s) for s in range(81)]
-    mats += [xor_power(make_family(fam, m), 2).lifted
+    mats += [xor_power(make_family(fam, m), 2)
              for fam in ("eq", "gt", "and", "ip") for m in (2, 4)]
     for f in mats:
         want = _scan_fooling_cells(f)
