@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .matrix import BoolFun, xor_power
+from .matrix import BoolFun, check_lift
 from .rectangles import Rectangle, check_monochromatic
 
 TIE_TOL = 1e-9
@@ -112,6 +112,21 @@ def _decode(indices, radix: int, n: int) -> list:
     return list(zip(*(c.tolist() for c in coords)))
 
 
+def _lift_signs(f: BoolFun, n: int, R: Rectangle) -> np.ndarray:
+    """The signs of the lift f^(+n) on R, read from f without building
+    the lift: a lifted cell's sign is the product of f's signs at its
+    decoded base cells."""
+    check_lift(f, n)
+    if (R.row_set[0] < 0 or R.col_set[0] < 0
+            or R.row_set[-1] >= f.rows ** n or R.col_set[-1] >= f.cols ** n):
+        raise ValueError("rectangle indices out of range")
+    sub = np.ones((len(R.row_set), len(R.col_set)), dtype=np.int8)
+    for xs, ys in zip(np.unravel_index(R.row_set, (f.rows,) * n),
+                      np.unravel_index(R.col_set, (f.cols,) * n)):
+        sub *= f.sign[np.ix_(xs, ys)]
+    return sub
+
+
 def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
     """From a monochromatic rectangle R of the lift f^(+n), extract a
     monochromatic rectangle T of f.
@@ -122,11 +137,10 @@ def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
     returning; a failure there raises InvariantError and is itself a
     bug.
     """
-    lift = xor_power(f, n)
-    color = check_monochromatic(lift, R)
-    if color is None:
-        sub = lift.sign[np.ix_(R.row_set, R.col_set)]
-        i, j = divmod(int(np.argmax(sub != sub[0, 0])), sub.shape[1])
+    sub = _lift_signs(f, n, R)
+    color = int(sub[0, 0])
+    if not np.all(sub == color):
+        i, j = divmod(int(np.argmax(sub != color)), sub.shape[1])
         raise ValueError(
             f"rectangle is not monochromatic: cell ({R.row_set[i]}, "
             f"{R.col_set[j]}) breaks the color of ({R.row_set[0]}, "

@@ -199,13 +199,9 @@ def make_family(name: str, m: int, seed: int | None = None,
     return BoolFun(1 - 2 * f.astype(np.int8), label=f"{name}{m}")
 
 
-def xor_power(f: BoolFun, n: int) -> BoolFun:
-    """Lift f to f^(+n): the parity of n independent evaluations of f.
-
-    The lifted sign matrix is the n-fold Kronecker power of f's sign
-    matrix, so lifted row i is the tuple np.unravel_index(i, (f.rows,) * n)
-    of base rows, first coordinate most significant (columns likewise).
-    """
+def check_lift(f: BoolFun, n: int) -> None:
+    """Raise unless the lift f^(+n) has an order n >= 1 and is within
+    the desk-scale cap."""
     if n < 1:
         raise ValueError("n must be >= 1")
     # Past order 24 every base larger than 1x1 is over the cap; up to
@@ -215,6 +211,16 @@ def xor_power(f: BoolFun, n: int) -> BoolFun:
         raise CapacityError(f"lift of order n={n} of a {f.rows}x{f.cols} "
                             f"matrix is over the desk-scale cap of "
                             f"{DESK_CELL_CAP} cells or order {max_n}")
+
+
+def xor_power(f: BoolFun, n: int) -> BoolFun:
+    """Lift f to f^(+n): the parity of n independent evaluations of f.
+
+    The lifted sign matrix is the n-fold Kronecker power of f's sign
+    matrix, so lifted row i is the tuple np.unravel_index(i, (f.rows,) * n)
+    of base rows, first coordinate most significant (columns likewise).
+    """
+    check_lift(f, n)
     sign = f.sign
     for _ in range(n - 1):
         sign = np.kron(sign, f.sign)

@@ -16,10 +16,13 @@ fooling set, until its search finishes; the one mask prunes the search
 and gives the reported lower bound.  The answer is a
 ``limits.SearchResult`` whose cover is a tuple of
 Rectangles in lexicographic order of (row_set, col_set).  One
-Close-by-One search over the columns (Kuznetsov 1993) finds the closed
-(maximal) monochromatic rectangles: it enumerates them all, and with an
-area bound it finds a maximum-area one, since every maximum-area
-rectangle is closed.
+Close-by-One search (Kuznetsov 1993) finds the closed (maximal)
+monochromatic rectangles.  Over the columns it enumerates them all.
+Over the rows it finds a maximum-area one, since every maximum-area
+rectangle is closed: it skips the subtrees whose area bound, from the
+rows times the columns or from a matching through the other color's
+cells, falls below the best area so far, and at an equal bound those
+whose fixed leading rows sort after the best's.
 
 Masks inside, Rectangles at the boundary: the searches read Python
 integer bitmasks from ``BoolFun.bits()`` and handle a rectangle as its
@@ -99,14 +102,15 @@ def _of_color(masks, width: int, color: int):
     return [full ^ m for m in masks]
 
 
-def _closure(col_rows, a: int, cols, first: int = 0):
-    """Close the row mask ``a`` over the ascending columns ``cols``: the
-    mask of those whose rows contain ``a`` and the list of the others
-    that meet it, or None once a column before ``first`` contains ``a``."""
+def _closure(attr_objs, a: int, attrs, first: int = 0):
+    """Close the object mask ``a`` over the ascending attributes
+    ``attrs``, with object masks ``attr_objs``: the mask of those whose
+    objects contain ``a`` and the list of the others that meet it, or
+    None once an attribute before ``first`` contains ``a``."""
     b = 0
     rest = []
-    for z in cols:
-        m = col_rows[z] & a
+    for z in attrs:
+        m = attr_objs[z] & a
         if m == a:
             if z < first:
                 return None
@@ -116,49 +120,54 @@ def _closure(col_rows, a: int, cols, first: int = 0):
     return b, rest
 
 
-def _close_by_one(f: BoolFun, color: int, visit, skip=None) -> bool:
-    """Close-by-One (Kuznetsov 1993) over the columns of one color.
+def _close_by_one(attr_objs, objs: int, visit, prune=None) -> bool:
+    """Close-by-One (Kuznetsov 1993) over the attributes whose object
+    masks, over ``objs`` objects, are ``attr_objs``.
 
-    Calls ``visit(a, b)`` on every closed rectangle (row mask a, column
-    mask b) in depth-first order, children by ascending column; a true
-    return stops the search and makes this return True.  The child of
-    (a, b) on column y, with rows a2 = a & rows(y), is skipped before
-    its closure when ``skip(a2, width)`` holds: every rectangle below it
-    has rows within a2 and at most width = |b| + #{z >= y outside b
-    meeting a} columns.  The search keeps its own stack, since its depth
-    can reach min(rows, cols), beyond Python's recursion limit.
+    Calls ``visit(a, b)`` on every closed pair (object mask a, attribute
+    mask b) in depth-first order, children by ascending attribute; a true
+    return stops the search and makes this return True.  The node (a, b)
+    has candidates cand, the ascending attributes outside b that meet a.
+    Every pair below its child on y = cand[i] has objects within
+    a2 = a & attr_objs[y], attributes within b and cand[i:], and the
+    same attributes up to y: those of b below y, and y.  With ``prune``,
+    each node gets ``skip = prune(a, b, cand)`` before its first child,
+    and the child on cand[i] is skipped before its closure when
+    ``skip(i, a2)`` holds.  The search keeps its own stack, since its
+    depth can reach min(objects, attributes), beyond Python's recursion
+    limit.
     """
-    col_rows = _of_color(f.bits()[1], f.rows, color)
-    # The node (a, b) has candidates cand, the ascending columns outside
-    # b that meet a, and children only on columns >= start.  ``it`` walks
-    # cand and waits on the stack while a child's subtree is searched, so
-    # ``skip`` is asked only once the earlier subtrees are done.
-    a = (1 << f.rows) - 1
-    b, cand = _closure(col_rows, a, range(f.cols))
+    # ``it`` walks cand and waits on the stack while a child's subtree
+    # is searched, so ``skip`` is asked only once the earlier subtrees
+    # are done.
+    a = (1 << objs) - 1
+    b, cand = _closure(attr_objs, a, range(len(attr_objs)))
     if b and visit(a, b):
         return True
-    start, width, it = 0, b.bit_count() + len(cand), enumerate(cand)
+    start, it = 0, enumerate(cand)
+    skip = prune and prune(a, b, cand)
     stack = []
     while True:
         for i, y in it:
             if y < start:
                 continue
-            a2 = a & col_rows[y]
-            if skip is not None and skip(a2, width - i):
+            a2 = a & attr_objs[y]
+            if skip and skip(i, a2):
                 continue
-            closed = _closure(col_rows, a2, cand, y)
-            if closed is not None:  # else reached on a smaller column
+            closed = _closure(attr_objs, a2, cand, y)
+            if closed is not None:  # else reached on a smaller attribute
                 break
         else:  # no child left: back to the parent
             if not stack:
                 return False
-            a, b, cand, start, width, it = stack.pop()
+            a, b, cand, start, it, skip = stack.pop()
             continue
-        stack.append((a, b, cand, start, width, it))
+        stack.append((a, b, cand, start, it, skip))
         a, b, cand, start = a2, b | closed[0], closed[1], y + 1
         if visit(a, b):
             return True
-        width, it = b.bit_count() + len(cand), enumerate(cand)
+        it = enumerate(cand)
+        skip = prune and prune(a, b, cand)
 
 
 def _mask_lt(p: int, q: int) -> bool:
@@ -180,7 +189,8 @@ def _maximal_masks(f: BoolFun, budget: int) -> tuple:
             pairs.append((a, b))
             return False
 
-        truncated = _close_by_one(f, color, collect)
+        truncated = _close_by_one(_of_color(f.bits()[1], f.rows, color),
+                                  f.rows, collect)
         pairs.sort(key=lambda p: (index_bits(p[0]), index_bits(p[1])))
         if truncated:
             break
@@ -206,24 +216,87 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
     lexicographically by (row_set, col_set).
 
     A maximum-area rectangle is closed, so this is the Close-by-One
-    search, skipping a subtree whose rows times width bound is strictly
-    below the best area so far: tied rectangles are still visited.
+    search with the rows as the attributes, skipping a child's subtree
+    when every rectangle in it loses to the best so far on (area,
+    row_set, col_set).  Below the child on row y of the node (columns a,
+    rows b), with columns a2 and candidate rows cand[i:], a rectangle
+    has c <= |a2| columns, r <= width = |b| + #cand[i:] rows, and the
+    rows (b below y) + {y} up to y.  The tests, in order:
+
+    - c * r <= |a2| * width;
+    - r + c <= |a2| + width - mu, where mu counts the pairs (column o in
+      a2, row z in cand[i:]) of a matching through cells of the other
+      color: no monochromatic rectangle holds both o and z.  The area is
+      then at most the largest r * c under that sum and the two caps.
+      The matching is greedy: from the last candidate back, each row
+      takes the first free column where its cell has the other color,
+      one whose cell in the row before has this color if it can.  It
+      is built once per node, down to the first child that needs it:
+      one that passes the first test and whose bound at mu =
+      min(|a2|, #cand[i:]), the most any matching gives, is not
+      already above the best area;
+    - at a bound equal to the best area, the child's rows up to y
+      against the best's: where they first differ, a best holding that
+      row sorts first, and so before every rectangle below the child.
     """
     best = [0, 0, 0, None]  # area, row mask, col mask, color
 
-    def skip(a2, width):
-        return a2.bit_count() * width < best[0]
-
     for color in (1, -1):
-        def keep_best(a, b):
-            area = a.bit_count() * b.bit_count()
+        row_cols = _of_color(f.bits()[0], f.cols, color)
+        other = _of_color(f.bits()[0], f.cols, -color)
+
+        def prune(a, b, cand):
+            held = b.bit_count()
+            base = held + len(cand)
+            left = None  # left[j]: the columns of a unmatched to cand[j:]
+
+            def skip(i, a2):
+                nonlocal left
+                c = a2.bit_count()
+                width = base - i
+                if c * width < best[0]:
+                    return True
+                # s = c + width - mu is at least this, as mu <= min(c,
+                # #cand[i:]): above the best here, no matching skips.
+                s = width if width > c + held else c + held
+                h = s >> 1
+                r = s - c if h < s - c else width if h > width else h
+                if r * (s - r) > best[0]:
+                    return False
+                if left is None:  # children come by ascending i
+                    left = [0] * len(cand)
+                    avail = a
+                    for j in range(len(cand) - 1, i - 1, -1):
+                        free = avail & other[cand[j]]
+                        # A column the row before holds also counts for
+                        # the child on that row.
+                        if j and free & row_cols[cand[j - 1]]:
+                            free &= row_cols[cand[j - 1]]
+                        avail ^= free & -free
+                        left[j] = avail
+                s = width + (left[i] & a2).bit_count()
+                h = s >> 1
+                r = s - c if h < s - c else width if h > width else h
+                bound = r * (s - r)
+                if bound != best[0]:
+                    return bound < best[0]
+                # The rows up to y where the child and the best differ:
+                # skip the child when the best holds the first of them.
+                y = cand[i]
+                diff = ((b | 1 << y) ^ best[1]) & ((2 << y) - 1)
+                return bool(best[1] & diff & -diff)
+
+            return skip
+
+        def keep_best(cols, rows):
+            area = rows.bit_count() * cols.bit_count()
             if area > best[0] or area == best[0] and (
-                    _mask_lt(a, best[1])
-                    or a == best[1] and _mask_lt(b, best[2])):
-                best[:] = area, a, b, color
+                    _mask_lt(rows, best[1])
+                    or rows == best[1] and _mask_lt(cols, best[2])):
+                best[:] = area, rows, cols, color
             return False
 
-        _close_by_one(f, color, keep_best, skip)
+        _close_by_one(row_cols, f.cols, keep_best, prune)
 
     return Rectangle(index_bits(best[1]), index_bits(best[2]), color=best[3])
 
@@ -416,6 +489,10 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     best_size = len(incumbent)
     if fooling_mask.bit_count() >= best_size:
         return best_sel, True
+    try:
+        meter.tick()  # the root's visit, before its tables are built
+    except BudgetExceeded:
+        return best_sel, False
 
     # Rectangles by descending size, ties by index: each cell's
     # candidates in branching order, as (index, mask) pairs that rec
@@ -439,9 +516,9 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
                   for i in by_size])]
 
     def rec(uncovered, chosen, first):
-        # Every cell before cell_order[first] is covered.
+        # Every cell before cell_order[first] is covered, and the
+        # caller has ticked the meter for this node.
         nonlocal best_sel, best_size
-        meter.tick()
         if uncovered == 0:
             if len(chosen) < best_size:
                 best_size = len(chosen)
@@ -494,6 +571,7 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
             lists.append((t_min, narrowed))
         for j in kept:
             chosen.append(cands[j][0])
+            meter.tick()
             rec(uncovered & ~covs[j], chosen, first + 1)
             chosen.pop()
         if left > 0:

@@ -65,6 +65,13 @@ MUTANTS = (
     ("meter_deadline_stride", "src/cclab/limits.py",
      "self.nodes % 256 == 0", "self.nodes % 100_000 == 0", CAUGHT,
      "tests/test_rectangles.py::test_meter_reads_the_clock_every_256_ticks"),
+    ("max_rect_matching_bound", "src/cclab/rectangles.py",
+     "bound = r * (s - r)\n", "bound = r * (s - r) - 1\n", CAUGHT,
+     "tests/test_rectangles.py::test_max_mono_matches_the_column_side_search"),
+    ("max_rect_tie_test", "src/cclab/rectangles.py",
+     "return bool(best[1] & diff & -diff)",
+     "return bool((b | 1 << y) & diff & -diff)", CAUGHT,
+     "tests/test_rectangles.py::test_max_mono_matches_the_column_side_search"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

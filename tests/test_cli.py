@@ -222,6 +222,22 @@ def test_build_balance_verify_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_build_reaches_eq32(tmp_path, capsys):
+    # eq32 has C(32, 16), about 6 * 10**8, tied maximum rectangles S x S^c;
+    # the root maximum-rectangle search takes 18 closures.
+    src = tmp_path / "eq32.bfn"
+    proto = tmp_path / "eq32.proto.json"
+    bal = tmp_path / "eq32.bal.json"
+    assert run(["gen", "--family", "eq", "--m", "32", "--out", str(src)]) == 0
+    assert run(["build", "--family", "eq", "--m", "32",
+                "--out", str(proto)]) == 0
+    trace = json.loads((tmp_path / "eq32.proto.json.trace.json").read_text())
+    assert trace["budgets_ok"] is True
+    assert run(["balance", "--in", str(proto), "--out", str(bal)]) == 0
+    assert run(["verify", "--in", str(bal), "--matrix", str(src)]) == 0
+    capsys.readouterr()
+
+
 # SHA-256 of the protocol file, its trace and the balanced protocol of
 # `build` then `balance`.  The direct builds of ip8, eq12 and random
 # 16x16 seed 1 split on both sides; the lifts split on one side each.
