@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from cclab import (CapacityError, InvariantError, Rectangle, SearchLimits,
+from cclab import (BoolFun, CapacityError, InvariantError, Rectangle, SearchLimits,
                    balance, build_protocol, cover_number, evaluate, exact_cc,
                    leaf_budget, make_family, max_mono_rectangle, rank,
                    rank_step_budget, restrict, shrink_step_budget,
                    theorem_report, verify, xor_power)
-from cclab.builder import (ALICE_SENDS, DIRECT_MAX, LIFT_EXTRACT,
+from cclab.builder import (ALICE_SENDS, BOB_SENDS, DIRECT_MAX, LIFT_EXTRACT,
                            _area_guarantee, choose_split,
                            find_big_rectangle)
 from cclab.rectangles import EXACT
@@ -55,6 +55,30 @@ def test_choose_split_planted_block_matches_oracle():
         else:
             assert 2 * row_rank > rk + 3
             assert 2 * col_rank <= rk + 3
+
+
+def test_choose_split_bob_side():
+    # Column 0 set to +1 makes R = all rows x column 0 monochromatic;
+    # R's rows are every row, so Alice's block has rank(f) = 5 and
+    # fails, and Bob's, the one column, has rank 1.
+    sign = make_family("random", 6, seed=1).sign.copy()
+    sign[:, 0] = 1
+    f = BoolFun(sign)
+    assert rank(f) == 5
+    dec = choose_split(f, Rectangle(range(6), (0,)), rank(f))
+    assert dec.side == BOB_SENDS
+    assert dec.rank_row_block == 5
+    assert dec.chosen_bound == 1
+
+
+def test_choose_split_neither_side_names_both_ranks(monkeypatch):
+    import cclab.builder as builder
+
+    monkeypatch.setattr(builder, "rank", lambda g: 10 * g.rows + g.cols)
+    eq4 = make_family("eq", 4)
+    with pytest.raises(InvariantError,
+                       match=r"rank\[R A\]=24, rank\[R;B\]=42"):
+        choose_split(eq4, Rectangle((0, 1), (2, 3)), 4)
 
 
 def test_choose_split_rejects_non_monochromatic():
