@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,16 +39,6 @@ ALICE_SENDS = "alice_sends"
 BOB_SENDS = "bob_sends"
 
 BASE_LEAF_FACTOR = 32  # distinct-row base case: <= 16 classes x 2 leaves
-
-
-@dataclass(frozen=True)
-class SplitDecision:
-    """Outcome of the rank split on a monochromatic rectangle."""
-
-    side: str  # ALICE_SENDS | BOB_SENDS
-    rank_row_block: int  # rank of [R A] = R's rows x all cols
-    rank_col_block: int  # rank of [R; B] = all rows x R's cols
-    chosen_bound: int    # the chosen side's rank, <= (rank(f)+3)/2
 
 
 @dataclass(frozen=True)
@@ -90,7 +79,7 @@ class BuildTrace:
 
 
 def _ceil_nth_root(t, n: int) -> int:
-    """Smallest integer s >= 0 with s**n >= t (t may be a Fraction)."""
+    """Smallest integer s >= 0 with s**n >= t."""
     if t <= 0:
         return 0
     if t <= 1:
@@ -123,12 +112,11 @@ def rank_step_budget(rk: int) -> int:
     return _ceil_log_54(rk) + 1
 
 
-def shrink_step_budget(rk: int, cover_value, n: int) -> int:
+def shrink_step_budget(rk: int, cover_value: int, n: int) -> int:
     """ceil(8 * rk * C**(1/n)) evaluated exactly."""
-    c = Fraction(cover_value)
-    if c < 1:
+    if cover_value < 1:
         raise ValueError("cover value must be >= 1")
-    return _ceil_nth_root((8 * rk) ** n * c, n)
+    return _ceil_nth_root((8 * rk) ** n * cover_value, n)
 
 
 def leaf_budget(rk: int, cover_value, n: int):
@@ -169,29 +157,27 @@ def find_big_rectangle(f: BoolFun, n: int,
     return extract_rectangle(f, n, big)[0]
 
 
-def choose_split(f: BoolFun, R: Rectangle, rk: int) -> SplitDecision:
-    """Decide which player announces consistency with R (rk = rank(f)).
+def choose_split(f: BoolFun, R: Rectangle, rk: int) -> tuple:
+    """Decide which player announces consistency with R (rk = rank(f)):
+    (side, the rank of that side's block).
 
-    Computes rank([R A]) (R's rows, all columns) and rank([R; B]) (all
-    rows, R's columns) exactly; picks a side whose rank is at most
-    (rk+3)/2, preferring the row side.  The rank chain guarantees at
-    least one side qualifies; neither qualifying is a bug.
+    A side qualifies when its block's rank is at most (rk+3)/2.  The
+    row side, [R A] (R's rows, all columns), is ranked first and taken
+    when it qualifies; the column side, [R; B] (all rows, R's columns),
+    is ranked only when it does not.  The rank chain guarantees that
+    one side qualifies; neither qualifying is a bug.
     """
     if check_monochromatic(f, R) is None:
         raise ValueError("R must be monochromatic in f")
     rank_row = rank(restrict(f, R.row_set, range(f.cols)))
-    rank_col = rank(restrict(f, range(f.rows), R.col_set))
-    # side qualifies iff 2 * side_rank <= rank(f) + 3
     if 2 * rank_row <= rk + 3:
-        side, bound = ALICE_SENDS, rank_row
-    elif 2 * rank_col <= rk + 3:
-        side, bound = BOB_SENDS, rank_col
-    else:
-        raise InvariantError(
-            f"no qualifying split: rank[R A]={rank_row}, "
-            f"rank[R;B]={rank_col}, rank(f)={rk}")
-    return SplitDecision(side=side, rank_row_block=rank_row,
-                         rank_col_block=rank_col, chosen_bound=bound)
+        return ALICE_SENDS, rank_row
+    rank_col = rank(restrict(f, range(f.rows), R.col_set))
+    if 2 * rank_col <= rk + 3:
+        return BOB_SENDS, rank_col
+    raise InvariantError(
+        f"no qualifying split: rank[R A]={rank_row}, "
+        f"rank[R;B]={rank_col}, rank(f)={rk}")
 
 
 def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
@@ -216,9 +202,6 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
     steps = []
 
-    def block(cur_rows, cur_cols):
-        return BoolFun(fd.sign[np.ix_(cur_rows, cur_cols)])
-
     def low_rank_tree(cur_rows, cur_cols):
         groups = classes(fd, sum(1 << x for x in cur_rows),
                          sum(1 << y for y in cur_cols))[0]
@@ -226,7 +209,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             raise InvariantError("low-rank base case with > 16 row classes")
 
         def value_leaf(rep):
-            ones = frozenset(y for y in cur_cols if fd.sign[rep, y] == -1)
+            ones = frozenset(y for y in cur_cols if fd.f_value(rep, y))
             if not ones:
                 return Leaf(0)
             if len(ones) == len(cur_cols):
@@ -235,21 +218,24 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
         return _halve(groups, 0, len(groups), value_leaf)
 
-    def rec(cur_rows, cur_cols, rk):
-        # The tree of the block cur_rows x cur_cols of rank rk, and the
-        # most rank and shrink steps on its root-to-leaf paths.
-        sub = block(cur_rows, cur_cols)
+    def rec(cur_rows, cur_cols, rk=None):
+        # The tree of the block cur_rows x cur_cols of rank rk, ranked
+        # here when the parent does not know it, and the most rank and
+        # shrink steps on its root-to-leaf paths.
+        sub = BoolFun(fd.sign[np.ix_(cur_rows, cur_cols)])
+        if rk is None:
+            rk = rank(sub)
         cells = sub.cells
         if cells <= 1:
             steps.append(BuildStep("tiny", sub.rows, sub.cols, rk))
-            return Leaf(int(fd.sign[cur_rows[0], cur_cols[0]] == -1)), 0, 0
+            return Leaf(fd.f_value(cur_rows[0], cur_cols[0])), 0, 0
         if rk < 5:
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
             return low_rank_tree(cur_rows, cur_cols), 0, 0
 
         rect = find_big_rectangle(sub, n, strategy)
-        split = choose_split(sub, rect, rk)
-        alice = split.side == ALICE_SENDS
+        side, side_rank = choose_split(sub, rect, rk)
+        alice = side == ALICE_SENDS
 
         def part(s):  # a set of the speaker's indices, as (rows, cols)
             return (s, cur_cols) if alice else (cur_rows, s)
@@ -265,16 +251,14 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             area_check = _area_guarantee(rect.area, cells, cover_value, n)
             shrink_check = _area_guarantee(removed, cells, cover_value, n)
         steps.append(BuildStep(
-            "split", sub.rows, sub.cols, rk, side=split.side,
+            "split", sub.rows, sub.cols, rk, side=side,
             rect_area=rect.area, removed_cells=removed,
             area_check=area_check, shrink_check=shrink_check))
 
-        # The stacked block is the chosen side's block, of rank
-        # chosen_bound; only the complement's rank is new.
-        child1, r1, s1 = rec(in_rows, in_cols, split.chosen_bound)
-        out_rows, out_cols = part(outside)
-        child0, r0, s0 = rec(out_rows, out_cols,
-                             rank(block(out_rows, out_cols)))
+        # The stacked block is the chosen side's block, whose rank
+        # choose_split computed; the complement ranks itself.
+        child1, r1, s1 = rec(in_rows, in_cols, side_rank)
+        child0, r0, s0 = rec(*part(outside))
         node = Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
         return node, max(r1 + 1, r0), max(s1, s0 + 1)
 

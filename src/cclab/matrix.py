@@ -11,8 +11,9 @@ Python's arbitrary-precision integers, and no floating point appears
 anywhere in this module.  All values are immutable after construction.
 
 The searches see f only through its row/column classes (``classes``)
-and integer bitmasks: ``BoolFun.bits()`` holds the masks of the f = 1
-cells, derived on first use and cached, never written again, and
+and integer bitmasks: ``BoolFun.masks(color)`` holds the masks of the
+cells of sign ``color``, derived on first use and cached per color,
+never written again, so the sign convention stays in this module; and
 ``index_bits`` is the one mask-to-indices decoder.
 """
 
@@ -61,7 +62,7 @@ def splitmix64(seed: int):
 class BoolFun:
     """A total Boolean function on [rows] x [cols], held as a +-1 sign matrix."""
 
-    __slots__ = ("sign", "label", "_bits")
+    __slots__ = ("sign", "label", "_masks")
 
     def __init__(self, sign, label=""):
         arr = np.asarray(sign, dtype=np.int8)
@@ -74,7 +75,7 @@ class BoolFun:
         arr.flags.writeable = False
         self.sign = arr
         self.label = label
-        self._bits = None
+        self._masks = {}
 
     @property
     def rows(self) -> int:
@@ -92,16 +93,20 @@ class BoolFun:
         """The 0/1 function value at (x, y)."""
         return 0 if self.sign[x, y] == 1 else 1
 
-    def bits(self) -> tuple:
-        """(row masks, column masks) of the f = 1 cells: bit y of row
-        mask x, and bit x of column mask y, are set iff f(x, y) = 1."""
-        if self._bits is None:
-            ones = self.sign == -1
-            self._bits = tuple(
+    def masks(self, color: int) -> tuple:
+        """(row masks, column masks) of the cells of sign ``color`` (+1
+        or -1): bit y of row mask x, and bit x of column mask y, are set
+        iff the sign at (x, y) is ``color``."""
+        got = self._masks.get(color)
+        if got is None:
+            if color not in (1, -1):
+                raise ValueError("color must be +1 or -1")
+            on = self.sign == color
+            got = self._masks[color] = tuple(
                 tuple(int.from_bytes(row.tobytes(), "little") for row in
                       np.packbits(side, axis=1, bitorder="little"))
-                for side in (ones, ones.T))
-        return self._bits
+                for side in (on, on.T))
+        return got
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -132,7 +137,7 @@ def classes(f: BoolFun, rmask: int | None = None, cmask: int | None = None):
     on the first row of each row class, which is the same as on all of
     rmask.  Classes come in first-occurrence order, members ascending.
     """
-    row_bits, col_bits = f.bits()
+    row_bits, col_bits = f.masks(-1)  # either color groups the same
     if rmask is None:
         rmask = (1 << f.rows) - 1
     if cmask is None:

@@ -24,10 +24,11 @@ rows times the columns or from a matching through the other color's
 cells, falls below the best area so far, and at an equal bound those
 whose fixed leading rows sort after the best's.
 
-Masks inside, Rectangles at the boundary: the searches read Python
-integer bitmasks from ``BoolFun.bits()`` and handle a rectangle as its
-(row mask, col mask) pair, in the set cover also as its cell mask (bit
-x * cols + y).  Only what a caller sees, the enumerated rectangles and
+Masks inside, Rectangles at the boundary: the searches read each
+color's Python integer bitmasks from ``BoolFun.masks(color)``, so no
+search knows which sign is f = 1, and handle a rectangle as its (row
+mask, col mask) pair, in the set cover also as its cell mask (bit x *
+cols + y).  Only what a caller sees, the enumerated rectangles and
 the chosen cover, becomes Rectangles of sorted index tuples.
 ``validate_cover`` shares none of the search's masks: it marks the
 covered cells in a boolean grid.
@@ -91,15 +92,6 @@ def check_monochromatic(f: BoolFun, r: Rectangle) -> int | None:
     sub = f.sign[np.ix_(r.row_set, r.col_set)]
     v = int(sub[0, 0])
     return v if np.all(sub == v) else None
-
-
-def _of_color(masks, width: int, color: int):
-    """The f = 1 masks of ``BoolFun.bits()`` as the masks of the cells
-    of sign ``color``: as they are for -1, complemented for +1."""
-    if color == -1:
-        return masks
-    full = (1 << width) - 1
-    return [full ^ m for m in masks]
 
 
 def _closure(attr_objs, a: int, attrs, first: int = 0):
@@ -189,8 +181,7 @@ def _maximal_masks(f: BoolFun, budget: int) -> tuple:
             pairs.append((a, b))
             return False
 
-        truncated = _close_by_one(_of_color(f.bits()[1], f.rows, color),
-                                  f.rows, collect)
+        truncated = _close_by_one(f.masks(color)[1], f.rows, collect)
         pairs.sort(key=lambda p: (index_bits(p[0]), index_bits(p[1])))
         if truncated:
             break
@@ -242,8 +233,8 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
     best = [0, 0, 0, None]  # area, row mask, col mask, color
 
     for color in (1, -1):
-        row_cols = _of_color(f.bits()[0], f.cols, color)
-        other = _of_color(f.bits()[0], f.cols, -color)
+        row_cols = f.masks(color)[0]
+        other = f.masks(-color)[0]
 
         def prune(a, b, cand):
             held = b.bit_count()
@@ -306,7 +297,7 @@ def _fooling_cells(f: BoolFun, color: int) -> int:
     sign ``color`` in row-major order, each kept unless it fits in one
     monochromatic rectangle with a kept cell.  Each kept cell needs its
     own cover rectangle, so the count lower-bounds the color's cover."""
-    row_cols = _of_color(f.bits()[0], f.cols, color)
+    row_cols = f.masks(color)[0]
     kept = []
     mask = 0
     for x, cols in enumerate(row_cols):
@@ -353,7 +344,7 @@ def _greedy_cover(f: BoolFun, cells: int, color: int, cell_masks) -> tuple:
     uncovered = cells
     chosen = []
     extra = []
-    row_cols = _of_color(f.bits()[0], f.cols, color)
+    row_cols = f.masks(color)[0]
     # Coverage only shrinks, so a stale count bounds the fresh one: the
     # popped rectangle is the first of the most-covering ones once its
     # fresh key (-count, index) still sorts before the heap's top.
@@ -406,13 +397,13 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     found, truncated = _maximal_masks(f, limits.rect_budget)
     search = mode == EXACT and not truncated
     meter = Meter(limits)
-    ones = sum(m << (x * f.cols) for x, m in enumerate(f.bits()[0]))
     cover = []
     lower = 0
     exact = search
     for color, pairs in found.items():
         cell_masks = [_grid_mask(a, b, f.cols) for a, b in pairs]
-        cells = ones if color == -1 else ((1 << f.cells) - 1) ^ ones
+        cells = sum(m << (x * f.cols)
+                    for x, m in enumerate(f.masks(color)[0]))
         fooling = _fooling_cells(f, color)
         chosen, extra = _greedy_cover(f, cells, color, cell_masks)
         done = False

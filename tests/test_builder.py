@@ -19,19 +19,19 @@ from oracles import rank_fractions, random_sign
 
 def test_choose_split_eq4_offdiag_block():
     eq4 = make_family("eq", 4)
-    dec = choose_split(eq4, Rectangle((0, 1), (2, 3)), rank(eq4))
+    side, side_rank = choose_split(eq4, Rectangle((0, 1), (2, 3)), rank(eq4))
     # rank(f) = 4, threshold (4+3)/2 = 3.5: chosen block rank <= 3
-    assert 2 * dec.chosen_bound <= rank(eq4) + 3
-    assert dec.rank_row_block == rank_fractions(eq4.sign[[0, 1], :].tolist())
-    assert dec.rank_col_block == rank_fractions(eq4.sign[:, [2, 3]].tolist())
+    assert side == ALICE_SENDS
+    assert 2 * side_rank <= rank(eq4) + 3
+    assert side_rank == rank_fractions(eq4.sign[[0, 1], :].tolist())
 
 
 def test_choose_split_rank_one_prefers_alice():
     f = make_family("xor", 4)  # rank 1
     r = max_mono_rectangle(f)
-    dec = choose_split(f, r, rank(f))
-    assert dec.side == ALICE_SENDS
-    assert 2 * dec.chosen_bound <= rank(f) + 3
+    side, side_rank = choose_split(f, r, rank(f))
+    assert side == ALICE_SENDS
+    assert 2 * side_rank <= rank(f) + 3
 
 
 def test_choose_split_planted_block_matches_oracle():
@@ -41,18 +41,17 @@ def test_choose_split_planted_block_matches_oracle():
         sign = f.sign.copy()
         sign.flags.writeable = True
         sign[0:3, 0:3] = 1
-        from cclab import BoolFun
         g = BoolFun(sign)
         rect = Rectangle((0, 1, 2), (0, 1, 2), color=1)
         rk = rank(g)
-        dec = choose_split(g, rect, rk)
+        side, side_rank = choose_split(g, rect, rk)
         row_rank = rank_fractions(g.sign[0:3, :].tolist())
         col_rank = rank_fractions(g.sign[:, 0:3].tolist())
-        assert dec.rank_row_block == row_rank
-        assert dec.rank_col_block == col_rank
-        if dec.side == ALICE_SENDS:
+        if side == ALICE_SENDS:
+            assert side_rank == row_rank
             assert 2 * row_rank <= rk + 3
         else:
+            assert side_rank == col_rank
             assert 2 * row_rank > rk + 3
             assert 2 * col_rank <= rk + 3
 
@@ -65,10 +64,7 @@ def test_choose_split_bob_side():
     sign[:, 0] = 1
     f = BoolFun(sign)
     assert rank(f) == 5
-    dec = choose_split(f, Rectangle(range(6), (0,)), rank(f))
-    assert dec.side == BOB_SENDS
-    assert dec.rank_row_block == 5
-    assert dec.chosen_bound == 1
+    assert choose_split(f, Rectangle(range(6), (0,)), rank(f)) == (BOB_SENDS, 1)
 
 
 def test_choose_split_neither_side_names_both_ranks(monkeypatch):
@@ -303,9 +299,9 @@ def test_report_eq4_n2_bounded_cover_ok():
 
 
 def test_build_ranks_each_block_once(monkeypatch):
-    # One rank for the input and three per split step: the two sides of
-    # the split and the complement.  Every other block's rank is handed
-    # down from its parent.
+    # One rank for the input and per split step two, the row side of the
+    # split and the complement, plus the column side when the row side
+    # fails.  The stacked block's rank is handed down from its parent.
     import cclab.matrix as matrix
 
     calls = []
@@ -316,11 +312,13 @@ def test_build_ranks_each_block_once(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(matrix, "exact_rank", counted)
-    for f, n, strategy in ((make_family("ip", 8), 1, DIRECT_MAX),
-                           (make_family("random", 16, seed=1), 1, DIRECT_MAX),
-                           (make_family("gt", 5), 2, LIFT_EXTRACT)):
+    for f, n, strategy, want in (
+            (make_family("ip", 8), 1, DIRECT_MAX, (5, 1)),
+            (make_family("random", 16, seed=1), 1, DIRECT_MAX, (5, 1)),
+            (make_family("gt", 5), 2, LIFT_EXTRACT, (1, 0))):
         calls.clear()
         _, trace = build_protocol(f, n, strategy=strategy)
         splits = sum(s.kind == "split" for s in trace.steps)
-        assert splits > 0, f.label
-        assert len(calls) == 1 + 3 * splits, f.label
+        bob = sum(s.side == BOB_SENDS for s in trace.steps)
+        assert (splits, bob) == want, f.label
+        assert len(calls) == 1 + 2 * splits + bob, f.label

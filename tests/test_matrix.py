@@ -244,9 +244,13 @@ def test_distinct_counts_examples():
     assert classes(g) == ([[0, 1, 3], [2]], [[0, 2], [1]])
     assert classes(g, 0b1100, 0b110) == ([[2], [3]], [[1], [2]])
     assert classes(g, 0b0100, 0b001) == ([[2]], [[0]])
-    bits = g.bits()
-    assert bits == ((0b010, 0b010, 0b101, 0b010), (0b0100, 0b1011, 0b0100))
-    assert g.bits() is bits
+    ones = g.masks(-1)
+    assert ones == ((0b010, 0b010, 0b101, 0b010), (0b0100, 0b1011, 0b0100))
+    assert g.masks(-1) is ones
+    assert g.masks(1) == ((0b101, 0b101, 0b010, 0b101),
+                          (0b1011, 0b0100, 0b1011))
+    with pytest.raises(ValueError):
+        g.masks(0)
     assert index_bits(0) == () and index_bits(0b10110) == (1, 2, 4)
 
 

@@ -172,9 +172,7 @@ def _column_side_max(f):
                 best[:] = key, color
             return False
 
-        rectangles._close_by_one(
-            rectangles._of_color(f.bits()[1], f.rows, color), f.rows,
-            keep_best, prune)
+        rectangles._close_by_one(f.masks(color)[1], f.rows, keep_best, prune)
     return best[0][1:], best[1]
 
 
