@@ -129,7 +129,8 @@ def _lift_signs(f: BoolFun, n: int, R: Rectangle) -> np.ndarray:
 
 def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
     """From a monochromatic rectangle R of the lift f^(+n), extract a
-    monochromatic rectangle T of f.
+    monochromatic rectangle T of f.  R not monochromatic, or with a
+    color other than the lift's sign on it, is a ValueError.
 
     Returns (T, ExtractionCertificate).  T's monochromaticity and the
     size check (4|T|)**n >= |R|, the integer form of the guarantee
@@ -145,6 +146,9 @@ def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
             f"rectangle is not monochromatic: cell ({R.row_set[i]}, "
             f"{R.col_set[j]}) breaks the color of ({R.row_set[0]}, "
             f"{R.col_set[0]})")
+    if R.color not in (None, color):
+        raise ValueError(f"rectangle is stated as color {R.color:+d}, but "
+                         f"the lift has sign {color:+d} on it")
     xs = _decode(R.row_set, f.rows, n)
     ys = _decode(R.col_set, f.cols, n)
 

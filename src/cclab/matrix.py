@@ -289,8 +289,8 @@ def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:
 
 # ---------------------------------------------------------------------------
 # .bfn file format: line 1 "<rows> <cols>", then rows lines of 0/1 f-values,
-# then an optional "# label" line.  Line 1 is whitespace-strict; newlines
-# may be LF or CRLF.
+# then an optional "# label" line.  Line 1 is whitespace-strict and its
+# sizes are ASCII digits; newlines may be LF or CRLF.
 # ---------------------------------------------------------------------------
 
 def parse_bfn(text: str) -> BoolFun:
@@ -300,7 +300,7 @@ def parse_bfn(text: str) -> BoolFun:
         raise ParseError("empty input, expected '<rows> <cols>'", 1)
     head = lines[0]
     parts = head.split(" ")
-    if len(parts) != 2 or not parts[0].isdigit() or not parts[1].isdigit():
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError("header must be exactly '<rows> <cols>'", 1, 1)
     rows, cols = int(parts[0]), int(parts[1])
     if rows < 1 or cols < 1:

@@ -7,7 +7,7 @@ test listed as the one that catches it, if any, then, if that passes,
 on the whole suite.  A mutant the suite does not catch is a survivor.
 
     python tests/mutation_probe.py            # every mutant
-    python tests/mutation_probe.py cover_lower split_rule
+    python tests/mutation_probe.py cover_lower split_side_order
 
 A copy whose suite passes takes the full tier-1 time (about 40 s on a
 2-vCPU machine).  The exit code is 0 when every outcome is the one
@@ -50,6 +50,20 @@ MUTANTS = (
     ("split_rule", "src/cclab/builder.py",
      "if 2 * rank_row <= rk + 3:", "if 2 * rank_row <= rk + 4:", CAUGHT,
      "tests/test_cli.py::test_construction_outputs_pinned"),
+    ("split_side_order", "src/cclab/builder.py",
+     "    rank_row = rank(restrict(f, R.row_set, range(f.cols)))\n"
+     "    if 2 * rank_row <= rk + 3:\n"
+     "        return ALICE_SENDS, rank_row\n"
+     "    rank_col = rank(restrict(f, range(f.rows), R.col_set))\n"
+     "    if 2 * rank_col <= rk + 3:\n"
+     "        return BOB_SENDS, rank_col\n",
+     "    rank_row = rank(restrict(f, R.row_set, range(f.cols)))\n"
+     "    rank_col = rank(restrict(f, range(f.rows), R.col_set))\n"
+     "    if 2 * rank_col <= rk + 3:\n"
+     "        return BOB_SENDS, rank_col\n"
+     "    if 2 * rank_row <= rk + 3:\n"
+     "        return ALICE_SENDS, rank_row\n", CAUGHT,
+     "tests/test_cli.py::test_construction_outputs_pinned"),
     ("root_ceiling", "src/cclab/protocol.py",
      "hi = _ceil_log2(min(len(rows), len(cols))) + 1 if lo",
      "hi = _ceil_log2(min(len(rows), len(cols))) + 2 if lo", CAUGHT,
@@ -72,6 +86,9 @@ MUTANTS = (
      "return bool(best[1] & diff & -diff)",
      "return bool((b | 1 << y) & diff & -diff)", CAUGHT,
      "tests/test_rectangles.py::test_max_mono_matches_the_column_side_search"),
+    ("cell_cap_boundary", "src/cclab/matrix.py",
+     "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
+     CAUGHT, "tests/test_protocol.py::test_input_space_at_the_cell_cap"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cclab.cli import main
 from cclab import Rectangle, format_bfn, verify
@@ -194,6 +200,28 @@ def test_extract_rejects_non_monochromatic(tmp_path, capsys):
     assert "cell (" in capsys.readouterr().err
 
 
+def test_extract_checks_a_stated_color(tmp_path, capsys):
+    # Rows {0, 3} x cols {1, 2} of eq2^(+2) have sign -1.
+    src = tmp_path / "eq2.bfn"
+    run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
+    rect = tmp_path / "r.rect"
+    outs = []
+    for color, code in (("+1\n", 1), ("-1\n", 0), ("", 0)):
+        rect.write_text("0 3\n1 2\n" + color)
+        assert run(["extract", "--in", str(src), "--n", "2",
+                    "--rect", str(rect)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "color +1" in lines[0]
+        else:
+            assert captured.err == ""
+            outs.append(captured.out)
+    assert outs[0] == outs[1] and "color: -1" in outs[0]
+
+
 def test_extract_rejects_negative_index(tmp_path, capsys):
     rect = tmp_path / "neg.rect"
     rect.write_text("-1\n2\n")
@@ -361,6 +389,28 @@ def test_protocol_file_wrong_types_are_user_errors(tmp_path, capsys):
             assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_protocol_file_over_cap_is_user_error(tmp_path, capsys):
+    # 2**25 cells, one row bit over the cap: refused before the index
+    # sets are built, where the cap itself, 2**24 cells, is accepted.
+    src = tmp_path / "eq2.bfn"
+    run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
+    proto = tmp_path / "big.json"
+    out = tmp_path / "out.json"
+    for rows, code in ((2 ** 12, 0), (2 ** 13, 1)):
+        proto.write_text(json.dumps({"rows": rows, "cols": 2 ** 12,
+                                     "tree": {"output": 0}}))
+        assert run(["balance", "--in", str(proto), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if code:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert "desk-scale cap" in lines[0]
+    assert run(["verify", "--in", str(proto), "--matrix", str(src)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "desk-scale cap" in lines[0]
+
+
 def test_protocol_file_bad_leaves_are_user_errors(tmp_path, capsys):
     # A leaf is {"output": 0 or 1}.  true and 1.0 must not pass as
     # outputs, nor may a leaf carry node fields (their children would be
@@ -524,3 +574,92 @@ def test_flag_the_command_does_not_read_is_user_error(argv, tmp_path, capsys):
 
 def test_unknown_flag_is_user_error(capsys):
     assert run(["measure", "--family", "xor", "--m", "2", "--zap"]) == 1
+
+
+# ----------------------------------------------------------- reader contract
+#
+# Whatever a file holds, a reader exits 0, 1 or 2 and writes at most
+# one line to stderr, an "error:" line when it exits 1; an exception
+# out of main fails the test.  The runs are derandomized and keep no
+# example database.  Hypothesis caches the constants of the source files
+# while pytest collects, so its directory is moved out of the checkout
+# at import.
+
+set_hypothesis_home_dir(pathlib.Path(tempfile.gettempdir())
+                        / "cclab-hypothesis")
+_PROPERTY = settings(database=None, derandomize=True, deadline=None,
+                     max_examples=120)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    work = tmp_path_factory.mktemp("reader")
+    (work / "f.bfn").write_text("2 3\n010\n110\n")
+    return work
+
+
+def _contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    err = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert len(err) <= 1
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+_small = st.integers(-1, 4).map(str)
+_bfn_texts = st.one_of(
+    st.binary(max_size=40).map(lambda b: b.decode("latin-1")),
+    st.text(st.sampled_from("01 \r\n#x-+2²٣"), max_size=40),
+    st.builds(lambda r, c, body: f"{r} {c}\n{body}", _small, _small,
+              st.text(st.sampled_from("01\n# \r"), max_size=24)),
+)
+
+
+@_PROPERTY
+@given(text=_bfn_texts)
+def test_gen_reads_any_file(files, text):
+    path = files / "in.bfn"
+    path.write_text(text, encoding="utf-8", newline="")
+    _contract(["gen", "--in", str(path), "--out", str(files / "out.bfn")])
+
+
+@_PROPERTY
+@given(raw=st.binary(max_size=8),
+       text=st.text(st.sampled_from("0123 -+\n\t1e²"), max_size=24))
+def test_extract_reads_any_rect(files, raw, text):
+    for content in (raw, text.encode("utf-8")):
+        path = files / "in.rect"
+        path.write_bytes(content)
+        _contract(["extract", "--in", str(files / "f.bfn"), "--n", "1",
+                   "--rect", str(path)])
+
+
+_sizes = st.one_of(st.integers(-1, 3), st.sampled_from([2 ** 12, 2 ** 13]),
+                   st.just("2"), st.none())
+_outputs = st.one_of(st.integers(-1, 2), st.booleans(), st.just(1.0))
+_trees = st.recursive(
+    st.builds(lambda out: {"output": out}, _outputs),
+    lambda kids: st.fixed_dictionaries(
+        {"speaker": st.sampled_from(["alice", "bob", "carol"]),
+         "subset": st.one_of(st.lists(st.integers(-1, 3), max_size=3),
+                             st.just(5)),
+         "child0": kids, "child1": kids}),
+    max_leaves=8)
+
+
+@_PROPERTY
+@given(rows=_sizes, cols=_sizes, tree=_trees, drop=st.booleans(),
+       junk=st.text(max_size=12))
+def test_balance_reads_any_protocol_file(files, rows, cols, tree, drop,
+                                         junk):
+    obj = {"rows": rows, "cols": cols, "tree": tree}
+    if drop:
+        del obj["tree"]
+    for text in (json.dumps(obj), junk):
+        path = files / "in.json"
+        path.write_text(text, encoding="utf-8")
+        _contract(["balance", "--in", str(path),
+                   "--out", str(files / "out.json")])

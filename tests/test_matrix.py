@@ -340,6 +340,15 @@ def test_bfn_header_whitespace_strict():
         parse_bfn(" 2 2\n00\n00\n")
 
 
+def test_bfn_header_sizes_are_ascii_digits():
+    # str.isdigit holds for both; int rejects the superscript and reads
+    # the Arabic-Indic digit as 3.
+    for head in ("\u00b2 1", "1 \u0663"):
+        with pytest.raises(ParseError) as err:
+            parse_bfn(head + "\n0\n")
+        assert err.value.line == 1
+
+
 def test_bfn_bad_cell_reports_position():
     with pytest.raises(ParseError) as err:
         parse_bfn("2 2\n00\n0x\n")

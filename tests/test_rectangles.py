@@ -11,7 +11,7 @@ from cclab import (BoolFun, Rectangle, SearchLimits, check_monochromatic,
                    fooling_set_bound, make_family, max_mono_rectangle, rank,
                    restrict, validate_cover, xor_power)
 from cclab import InvariantError, limits, rectangles
-from cclab.limits import BudgetExceeded, Meter
+from cclab.limits import INTERVAL, BudgetExceeded, Meter
 from cclab.matrix import index_bits
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
                               _greedy_cover, _undominated, format_rect,
@@ -294,6 +294,26 @@ def test_meter_reads_the_clock_every_256_ticks(monkeypatch):
         meter.tick()
     with pytest.raises(BudgetExceeded, match="time"):
         meter.tick()
+
+
+def test_time_budget_cuts_a_real_search(monkeypatch):
+    # The clock passes the deadline right after Meter reads it, so each
+    # search stops at its first clock read: at most 256 nodes past the
+    # deadline, the stated slack of ms=.  gt3^(+3)'s cover searches both
+    # colors, 256 nodes each.
+    lim = SearchLimits(time_budget_ms=1, node_budget=10 ** 9)
+    for search, want in (
+            (lambda: cover_number(xor_power(make_family("gt", 3), 3),
+                                  EXACT, lim), (BOUNDS, 19, 57, 512)),
+            (lambda: exact_cc(make_family("random", 7, seed=29), lim),
+             (INTERVAL, 3, 4, 256)),
+            (lambda: cover_number(make_family("eq", 8), EXACT, lim),
+             (BOUNDS, 10, 14, 256))):
+        reads = iter([0.0])
+        monkeypatch.setattr(limits.time, "monotonic",
+                            lambda: next(reads, float("inf")))
+        res = search()
+        assert (res.status, res.lower, res.upper, res.nodes) == want
 
 
 def test_cover_search_counts_every_visit():
