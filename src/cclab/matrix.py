@@ -68,7 +68,7 @@ class BoolFun:
         arr = np.asarray(sign, dtype=np.int8)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("sign matrix must be 2-D and non-empty")
-        _check_cap("matrix has", arr.shape[0] * arr.shape[1])
+        check_cap("matrix has", arr.shape[0] * arr.shape[1])
         if not np.all(np.abs(arr) == 1):
             raise ValueError("sign matrix entries must be exactly +1 or -1")
         arr = arr.copy()
@@ -113,7 +113,8 @@ class BoolFun:
         return f"<BoolFun{tag} {self.rows}x{self.cols}>"
 
 
-def _check_cap(what: str, cells: int) -> None:
+def check_cap(what: str, cells: int) -> None:
+    """Raise CapacityError when ``cells`` is over the desk-scale cap."""
     if cells > DESK_CELL_CAP:
         raise CapacityError(f"{what} {cells} cells, over the desk-scale "
                             f"cap of {DESK_CELL_CAP}")
@@ -180,7 +181,7 @@ def make_family(name: str, m: int, seed: int | None = None,
         raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_cap("matrix would have", m * m)  # before anything is built
+    check_cap("matrix would have", m * m)  # before anything is built
 
     if name == "random":
         if seed is None:
@@ -305,7 +306,7 @@ def parse_bfn(text: str) -> BoolFun:
     rows, cols = int(parts[0]), int(parts[1])
     if rows < 1 or cols < 1:
         raise ParseError("rows and cols must be >= 1", 1, 1)
-    _check_cap("matrix has", rows * cols)
+    check_cap("matrix has", rows * cols)
     if len(lines) < 1 + rows:
         raise ParseError(f"expected {rows} data lines", len(lines), 1)
     data = np.empty((rows, cols), dtype=np.int8)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import StructureError
 from .limits import (EXACT, INTERVAL, BudgetExceeded, Meter, SearchLimits,
                      SearchResult)
-from .matrix import BoolFun, _check_cap, classes, exact_rank
+from .matrix import BoolFun, check_cap, classes, exact_rank
 
 ALICE = "alice"
 BOB = "bob"
@@ -63,7 +63,7 @@ class ProtocolTree:
     def __init__(self, root, n_rows: int, n_cols: int):
         if n_rows < 1 or n_cols < 1:
             raise StructureError("input space must be non-empty")
-        _check_cap("protocol input space has", n_rows * n_cols)
+        check_cap("protocol input space has", n_rows * n_cols)
         try:
             leaves, depth = _check(root, frozenset(range(n_rows)),
                                    frozenset(range(n_cols)))

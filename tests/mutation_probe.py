@@ -88,7 +88,7 @@ MUTANTS = (
      "tests/test_rectangles.py::test_max_mono_matches_the_column_side_search"),
     ("cell_cap_boundary", "src/cclab/matrix.py",
      "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
-     CAUGHT, "tests/test_protocol.py::test_input_space_at_the_cell_cap"),
+     CAUGHT, "tests/test_cli.py::test_protocol_file_over_cap_is_user_error"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

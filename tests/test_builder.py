@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from cclab import (BoolFun, CapacityError, InvariantError, Rectangle, SearchLimits,
-                   balance, build_protocol, cover_number, evaluate, exact_cc,
-                   leaf_budget, make_family, max_mono_rectangle, rank,
-                   rank_step_budget, restrict, shrink_step_budget,
-                   theorem_report, verify, xor_power)
+from cclab import (BoolFun, CapacityError, InvariantError, Rectangle,
+                   SearchLimits, balance, build_protocol, cover_number,
+                   evaluate, exact_cc, leaf_budget, make_family,
+                   max_mono_rectangle, rank, rank_step_budget, restrict,
+                   shrink_step_budget, theorem_report, verify, xor_power)
 from cclab.builder import (ALICE_SENDS, BOB_SENDS, DIRECT_MAX, LIFT_EXTRACT,
                            _area_guarantee, choose_split,
                            find_big_rectangle)
@@ -64,7 +64,8 @@ def test_choose_split_bob_side():
     sign[:, 0] = 1
     f = BoolFun(sign)
     assert rank(f) == 5
-    assert choose_split(f, Rectangle(range(6), (0,)), rank(f)) == (BOB_SENDS, 1)
+    R = Rectangle(range(6), (0,))
+    assert choose_split(f, R, rank(f)) == (BOB_SENDS, 1)
 
 
 def test_choose_split_neither_side_names_both_ranks(monkeypatch):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cclab import (ALICE, BOB, BoolFun, CapacityError, Leaf, Node, ProtocolTree,
+from cclab import (ALICE, BOB, BoolFun, Leaf, Node, ProtocolTree,
                    SearchLimits, StructureError, balance, build_protocol,
                    cover_number, evaluate, exact_cc, make_family, rank,
                    restrict, splitmix64, theorem_report, tree_from_obj,
@@ -87,15 +87,6 @@ def test_structure_deep_chain_is_structure_error():
         node = Node(ALICE, frozenset([0]), Leaf(0), node)
     with pytest.raises(StructureError):
         ProtocolTree(node, 2, 2)
-
-
-def test_input_space_at_the_cell_cap():
-    # 2**12 x 2**12 is the cap itself; one more row bit is over it, and
-    # is refused before the index sets are built.
-    assert ProtocolTree(Leaf(0), 2 ** 12, 2 ** 12).leaf_count == 1
-    with pytest.raises(CapacityError, match="desk-scale cap"):
-        tree_from_obj({"rows": 2 ** 13, "cols": 2 ** 12,
-                       "tree": {"output": 0}})
 
 
 def test_leaf_count_and_depth():
