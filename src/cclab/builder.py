@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, InvariantError
 from .limits import SearchLimits
-from .matrix import BoolFun, classes, rank, restrict, xor_power
+from .matrix import BoolFun, check_lift, classes, rank, restrict, xor_power
 from .protocol import (ALICE, BOB, Leaf, Node, ProtocolTree, balance,
                        exact_cc, verify)
 from .rectangles import (EXACT, Rectangle, check_monochromatic, cover_number,
@@ -313,6 +313,7 @@ def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
     inspection and never asserted against a target.  rank 1 makes the
     bound vacuous and sets the degenerate flag.  exact holds when both D
     and C are exact."""
+    check_lift(f, n)  # before the searches: the cover below lifts f
     limits = limits or SearchLimits()
     cc = exact_cc(f, limits)
     cov = cover_number(xor_power(f, n), EXACT, limits)

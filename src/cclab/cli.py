@@ -11,8 +11,9 @@ error.  Identical invocations (including seed and limits) produce
 byte-identical outputs; wall-clock limits (ms=) are the one knob that
 can break that, so leave them unset when reproducibility matters.
 
-Default search limits come from the CCLAB_LIMITS environment variable
-(same syntax as --limits: node=..,ms=..,rects=..), overridden per flag.
+Search limits come from --limits alone (node=..,ms=..,rects=.., any
+subset, defaults for the rest).  --limits values and --m sizes are
+ASCII digits.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from .builder import (DIRECT_MAX, LIFT_EXTRACT, build_protocol,
                       theorem_report)
-from .errors import CapacityError, ParseError, StructureError
+from .errors import CapacityError, ParseError, StructureError, parse_count
 from .limits import SearchLimits
 from .matrix import (FAMILIES, BoolFun, classes, format_bfn, make_family,
                      rank, read_bfn, xor_power)
@@ -112,16 +112,6 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _limits(args) -> SearchLimits:
-    base = SearchLimits()
-    env = os.environ.get("CCLAB_LIMITS")
-    if env:
-        base = SearchLimits.parse(env, base)
-    if args.limits:
-        base = SearchLimits.parse(args.limits, base)
-    return base
-
-
 def _load_input(args) -> BoolFun:
     if bool(args.in_path) == bool(args.family):
         raise ValueError("exactly one input source: --in or --family")
@@ -136,9 +126,9 @@ def _load_input(args) -> BoolFun:
 def _size(tok: str) -> int:
     """One --m size, as an int; any other token is a user error."""
     try:
-        return int(tok)
-    except ValueError:
-        raise ValueError(f"--m: {tok.strip()!r} is not an integer") from None
+        return parse_count(tok)
+    except ValueError as e:
+        raise ValueError(f"--m: {e}") from None
 
 
 def _fmt(v) -> str:
@@ -183,7 +173,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_measure(args) -> int:
     f = _load_input(args)
-    limits = _limits(args)
+    limits = SearchLimits.parse(args.limits or "")
     cc = exact_cc(f, limits)
     cov = cover_number(f, mode=args.mode, limits=limits)
     row_classes, col_classes = classes(f)
@@ -225,7 +215,7 @@ def _cmd_build(args) -> int:
     if not args.out:
         raise ValueError("build requires --out for the protocol file")
     f = _load_input(args)
-    limits = _limits(args)
+    limits = SearchLimits.parse(args.limits or "")
     cover_value = None
     if args.mode == "exact":
         cov = cover_number(xor_power(f, args.n), EXACT, limits)
@@ -263,8 +253,6 @@ def _cmd_balance(args) -> int:
 def _cmd_verify(args) -> int:
     tree = _read_tree(args.in_path)
     f = read_bfn(args.matrix)
-    if tree.n_rows != f.rows or tree.n_cols != f.cols:
-        raise ValueError("tree and matrix dimensions differ")
     cell = first_mismatch(tree, f)
     if cell is not None:
         x, y = cell
@@ -280,10 +268,8 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     if not args.family or not args.m:
         raise ValueError("report requires --family and --m (comma list allowed)")
-    limits = _limits(args)
-    sizes = [_size(tok) for tok in str(args.m).split(",") if tok.strip()]
-    if not sizes:
-        raise ValueError(f"--m {args.m!r} lists no sizes")
+    limits = SearchLimits.parse(args.limits or "")
+    sizes = [_size(tok) for tok in args.m.split(",")]
     rows = []
     all_exact = True
     for m in sizes:

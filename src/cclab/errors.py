@@ -1,4 +1,13 @@
-"""Shared exception types for cclab."""
+"""Shared exception types for cclab, and the one rule by which its
+hand-written readers read a number."""
+
+
+def parse_count(tok: str) -> int:
+    """The integer tok writes in ASCII digits, else ValueError: no sign,
+    space, underscore or other script's digit."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ValueError(f"{tok!r} is not an integer")
+    return int(tok)
 
 
 class CapacityError(Exception):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import parse_count
+
 
 EXACT = "exact"
 INTERVAL = "interval"          # D(f): the search hit its limits
@@ -60,22 +62,20 @@ class SearchLimits:
             raise ValueError("limits must be positive")
 
     @classmethod
-    def parse(cls, text: str, base: "SearchLimits | None" = None) -> "SearchLimits":
-        """Parse the CLI/env syntax ``node=..,ms=..,rects=..`` (any subset)."""
-        base = base or cls()
-        fields = {
-            "node": base.node_budget,
-            "ms": base.time_budget_ms,
-            "rects": base.rect_budget,
-        }
-        text = text.strip()
-        if text:
-            for part in text.split(","):
-                key, _, val = part.partition("=")
-                key = key.strip()
-                if key not in fields or not val.strip():
-                    raise ValueError(f"bad limit syntax {part!r} (want node=..,ms=..,rects=..)")
-                fields[key] = int(val)
+    def parse(cls, text: str) -> "SearchLimits":
+        """The limits of the --limits syntax ``node=..,ms=..,rects=..``:
+        any subset, with no spaces, each value in ASCII digits; the
+        others keep their defaults, and "" gives the defaults."""
+        fields = {"node": cls.node_budget, "ms": cls.time_budget_ms,
+                  "rects": cls.rect_budget}
+        for part in text.split(",") if text else ():
+            key, _, val = part.partition("=")
+            if key not in fields:
+                raise ValueError(f"bad limit syntax {part!r} (want node=..,ms=..,rects=..)")
+            try:
+                fields[key] = parse_count(val)
+            except ValueError as e:
+                raise ValueError(f"limit {key}: {e}") from None
         return cls(node_budget=fields["node"], time_budget_ms=fields["ms"],
                    rect_budget=fields["rects"])
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, ParseError, parse_count
 
 # Desk-scale guard: matrices (lifted ones included) are capped at 2**24
 # cells so that exhaustive verification stays feasible.
@@ -299,11 +299,11 @@ def parse_bfn(text: str) -> BoolFun:
     lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
     if not lines or not lines[0]:
         raise ParseError("empty input, expected '<rows> <cols>'", 1)
-    head = lines[0]
-    parts = head.split(" ")
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise ParseError("header must be exactly '<rows> <cols>'", 1, 1)
-    rows, cols = int(parts[0]), int(parts[1])
+    try:
+        rows, cols = map(parse_count, lines[0].split(" "))
+    except ValueError:  # not two sizes, or a size not ASCII digits
+        raise ParseError("header must be exactly '<rows> <cols>'",
+                         1, 1) from None
     if rows < 1 or cols < 1:
         raise ParseError("rows and cols must be >= 1", 1, 1)
     check_cap("matrix has", rows * cols)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, ParseError, parse_count
 from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
                      SearchLimits, SearchResult)
 from .matrix import BoolFun, index_bits
@@ -578,8 +578,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
 
 
 # ---------------------------------------------------------------------------
-# .rect file format: row indices line, col indices line, optional color
-# line (+1/-1).
+# .rect file format: row indices line, col indices line (indices in ASCII
+# digits), optional color line (+1/-1).
 # ---------------------------------------------------------------------------
 
 def parse_rect(text: str) -> Rectangle:
@@ -591,7 +591,7 @@ def parse_rect(text: str) -> Rectangle:
     sides = []
     for k, ln in lines[:2]:
         try:
-            sides.append(tuple(int(t) for t in ln.split()))
+            sides.append(tuple(map(parse_count, ln.split())))
         except ValueError as e:
             raise ParseError(f"bad index: {e}", k) from None
     color = None

@@ -11,9 +11,10 @@ on the whole suite.  A mutant the suite does not catch is a survivor.
 
 A copy whose suite passes takes the full tier-1 time (about 40 s on a
 2-vCPU machine).  The exit code is 0 when every outcome is the one
-listed below (a mutant listed as caught fails its listed test, the
-others pass the suite), 1 otherwise.  pytest does not collect this
-file: its name does not match ``test_*.py``.
+listed below (a mutant listed as caught fails its listed test, any
+case of it if it is parametrized; the others pass the suite), 1
+otherwise.  pytest does not collect this file: its name does not match
+``test_*.py``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,14 @@ MUTANTS = (
     ("cell_cap_boundary", "src/cclab/matrix.py",
      "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
      CAUGHT, "tests/test_cli.py::test_protocol_file_over_cap_is_user_error"),
+    ("count_rule_unicode", "src/cclab/errors.py",
+     "if not (tok.isascii() and tok.isdigit()):",
+     "if not tok.isdigit():", CAUGHT,
+     "tests/test_cli.py::test_numbers_not_in_ascii_digits_are_refused"),
+    ("report_lift_late", "src/cclab/builder.py",
+     "    check_lift(f, n)  # before the searches: the cover below lifts f\n",
+     "", CAUGHT,
+     "tests/test_cli.py::test_report_checks_the_lift_before_searching"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "
@@ -143,7 +152,7 @@ def main(argv: list) -> int:
         failed = run_mutant(file, old, new, test)
         if failed is None and expected != EQUIVALENT:
             survivors.append(name)
-        if failed != test:
+        if (failed or "").partition("[")[0] != (test or ""):
             surprises.append(name)
         shown = "SURVIVED" if failed is None else f"caught by {failed}"
         print(f"{name:24} {shown}  [{expected}: {note}]", flush=True)

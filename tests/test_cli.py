@@ -26,6 +26,17 @@ def sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def refusal(argv, capsys):
+    """The one stderr line of argv, which must exit 1 writing nothing
+    to stdout."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
 # ----------------------------------------------------------- gen
 
 def test_gen_eq4_content(tmp_path):
@@ -365,6 +376,17 @@ def test_verify_mismatch_exit_1(tmp_path, capsys):
     assert "mismatch at (" in capsys.readouterr().err
 
 
+def test_verify_dimension_mismatch_is_user_error(tmp_path, capsys):
+    paths = {}
+    for m in ("2", "3"):
+        paths[m] = tmp_path / f"eq{m}.bfn"
+        run(["gen", "--family", "eq", "--m", m, "--out", str(paths[m])])
+    proto = tmp_path / "eq2.json"
+    run(["build", "--in", str(paths["2"]), "--out", str(proto)])
+    assert "index spaces differ" in refusal(
+        ["verify", "--in", str(proto), "--matrix", str(paths["3"])], capsys)
+
+
 def test_protocol_file_wrong_types_are_user_errors(tmp_path, capsys):
     node = {"speaker": "alice", "subset": [0], "child0": {"output": 0},
             "child1": {"output": 1}}
@@ -509,6 +531,20 @@ def test_parser_keeps_no_state_between_calls(capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("n, message", [("2", "desk-scale cap"),
+                                        ("0", "n must be >= 1")],
+                         ids=["over_cap", "order_0"])
+def test_report_checks_the_lift_before_searching(n, message, monkeypatch,
+                                                 capsys):
+    # random 128x128 takes seconds in exact_cc; a lift it cannot make
+    # is refused before that.
+    def no_search(*args, **kwargs):
+        raise AssertionError("exact_cc ran before the lift was checked")
+    monkeypatch.setattr("cclab.builder.exact_cc", no_search)
+    assert message in refusal(["report", "--family", "random", "--seed", "1",
+                               "--m", "128", "--n", n], capsys)
+
+
 def test_report_rerun_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["report", "--family", "random", "--m", "4,5", "--seed", "11",
@@ -518,19 +554,81 @@ def test_report_rerun_identical(tmp_path):
     assert sha(a) == sha(b)
 
 
+# ----------------------------------------------------------- numbers
+
+def _reading(reader, tok, tmp_path):
+    """The argv of a command whose one hand-read number is tok, read by
+    reader."""
+    if reader == "bfn":
+        src = tmp_path / "in.bfn"
+        src.write_text(f"{tok} 4\n0000\n0101\n1111\n", encoding="utf-8")
+        return ["gen", "--in", str(src)]
+    if reader == "rect":
+        rect = tmp_path / "in.rect"
+        rect.write_text(f"{tok}\n3\n", encoding="utf-8")
+        return ["extract", "--family", "eq", "--m", "4", "--n", "1",
+                "--rect", str(rect)]
+    if reader == "limits":
+        return ["measure", "--family", "eq", "--m", "4",
+                "--limits", f"node={tok}"]
+    if reader == "measure --m":
+        return ["measure", "--family", "eq", "--m", tok]
+    return ["report", "--family", "eq", "--m", f"2,{tok}"]
+
+
+_READERS = ["bfn", "rect", "limits", "measure --m", "report --m"]
+
+
+@pytest.mark.parametrize("reader", _READERS)
+@pytest.mark.parametrize("tok", ["\u0663", "+3", "1_0", "", "\u00b3"])
+def test_numbers_not_in_ascii_digits_are_refused(reader, tok, tmp_path,
+                                                capsys):
+    refusal(_reading(reader, tok, tmp_path), capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--family", "eq", "--m", "4", "--limits", "node= 5"],
+    ["measure", "--family", "eq", "--m", "4", "--limits", "node=5, rects=9"],
+    ["measure", "--family", "eq", "--m", " 3"],
+    ["report", "--family", "eq", "--m", "2, 3"],
+])
+def test_flag_numbers_take_no_spaces(argv, capsys):
+    refusal(argv, capsys)
+
+
+@pytest.mark.parametrize("reader, code", zip(_READERS, [0, 0, 2, 0, 0]))
+def test_numbers_in_ascii_digits_are_read(reader, code, tmp_path, capsys):
+    outs = []
+    for tok in ("3", "03"):
+        assert run(_reading(reader, tok, tmp_path)) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[0] == outs[1] != ""
+
+
 # ----------------------------------------------------------- limits
 
-def test_limits_env_and_flag(tmp_path, monkeypatch, capsys):
+def test_limits_flag_sets_the_budget(tmp_path, capsys):
     f = random_sign(6, 6, 99)
     src = tmp_path / "r.bfn"
     src.write_text(format_bfn(f))
-    monkeypatch.setenv("CCLAB_LIMITS", "node=3")
-    assert run(["measure", "--in", str(src)]) == 2
+    assert run(["measure", "--in", str(src), "--limits", "node=3"]) == 2
     capsys.readouterr()
-    # flag overrides env
     assert run(["measure", "--in", str(src), "--limits", "node=400000"]) in (0, 2)
     out = capsys.readouterr().out
     assert "D_status: exact" in out
+
+
+def test_environment_sets_no_limit(monkeypatch, capsys):
+    # Limits come from --limits alone: the same argv, the same answer.
+    argv = ["measure", "--family", "eq", "--m", "4"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    assert "C_status: exact" in expected
+    monkeypatch.setenv("CCLAB_LIMITS", "node=1")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_bad_limits_flag(capsys):

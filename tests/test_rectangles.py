@@ -765,3 +765,23 @@ def test_parse_rect_errors_name_the_physical_line():
         with pytest.raises(ParseError) as info:
             parse_rect(text)
         assert info.value.line == line, text
+
+
+def test_parse_rect_indices_are_ascii_digits():
+    from cclab import ParseError
+    assert parse_rect("03 1\n2\n") == Rectangle((1, 3), (2,))
+    for text, line in (("\u0663 1\n2\n", 1), ("+1\n2\n", 1),
+                       ("0\n1_0\n", 2)):
+        with pytest.raises(ParseError) as info:
+            parse_rect(text)
+        assert info.value.line == line, text
+
+
+def test_search_limits_parse_reads_ascii_digits_only():
+    assert SearchLimits.parse("") == SearchLimits()
+    assert SearchLimits.parse("node=03,ms=5") == SearchLimits(
+        node_budget=3, time_budget_ms=5)
+    for text in ("node=1_000", "rects=\u0663", "node= 5", "node=5, rects=9",
+                 " ", "node=", "node=+3"):
+        with pytest.raises(ValueError):
+            SearchLimits.parse(text)
