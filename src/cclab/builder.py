@@ -80,10 +80,6 @@ class BuildTrace:
 
 def _ceil_nth_root(t, n: int) -> int:
     """Smallest integer s >= 0 with s**n >= t."""
-    if t <= 0:
-        return 0
-    if t <= 1:
-        return 1
     hi = 1
     while hi ** n < t:
         hi *= 2

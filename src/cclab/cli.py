@@ -12,8 +12,9 @@ byte-identical outputs; wall-clock limits (ms=) are the one knob that
 can break that, so leave them unset when reproducibility matters.
 
 Search limits come from --limits alone (node=..,ms=..,rects=.., any
-subset, defaults for the rest).  --limits values and --m sizes are
-ASCII digits.
+subset, defaults for the rest).  Every number on the command line is
+written in ASCII digits: --limits values, --m sizes, --n and --value,
+and --seed after an optional leading '-'.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _build_parser() -> _Parser:
     def family(sp):
         sp.add_argument("--family", choices=FAMILIES)
         sp.add_argument("--m", help="family size (report: comma list)")
-        sp.add_argument("--seed", type=int, help="seed for random family")
-        sp.add_argument("--value", type=int, choices=[0, 1],
+        sp.add_argument("--seed", type=_seed, help="seed for random family")
+        sp.add_argument("--value", type=_count, choices=[0, 1],
                         help="bit for const family")
 
     def matrix(sp):  # --in or --family
@@ -81,12 +82,12 @@ def _build_parser() -> _Parser:
 
     sp = command("extract", "pull a base rectangle out of a lift rectangle",
                  matrix, formats("text", "json"))
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--rect", required=True, help=".rect file over the lift")
 
     sp = command("build", "build a protocol tree (rank-split recursion)",
                  matrix, limits)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=_count, default=1)
     sp.add_argument("--strategy", choices=[DIRECT_MAX, LIFT_EXTRACT],
                     default=DIRECT_MAX)
     sp.add_argument("--mode", choices=["exact", "greedy"], default="greedy",
@@ -101,10 +102,22 @@ def _build_parser() -> _Parser:
 
     sp = command("report", "lower-bound experiment rows across a family sweep",
                  family, limits, table_formats)
-    sp.add_argument("--n", type=int, default=1)
+    sp.add_argument("--n", type=_count, default=1)
     sp.add_argument("--strategy", choices=[DIRECT_MAX, LIFT_EXTRACT],
                     default=DIRECT_MAX)
     return p
+
+
+def _count(tok: str, signed: bool = False) -> int:
+    """An argparse type: errors.parse_count, its refusal a user error."""
+    try:
+        return parse_count(tok, signed)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _seed(tok: str) -> int:
+    return _count(tok, signed=True)
 
 
 # parse_args fills a fresh namespace on every call and _Parser.error

@@ -2,10 +2,12 @@
 hand-written readers read a number."""
 
 
-def parse_count(tok: str) -> int:
-    """The integer tok writes in ASCII digits, else ValueError: no sign,
-    space, underscore or other script's digit."""
-    if not (tok.isascii() and tok.isdigit()):
+def parse_count(tok: str, signed: bool = False) -> int:
+    """The integer tok writes in ASCII digits, after one '-' if
+    ``signed``, else ValueError: no other sign, no space, underscore or
+    other script's digit."""
+    digits = tok[1:] if signed and tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{tok!r} is not an integer")
     return int(tok)
 

@@ -11,11 +11,13 @@ sorted by size, at the root over all of them and below it over those
 the parent node handed down: the ones that can meet the children's
 thresholds, filtered from the nearest ancestor's list cut low enough;
 each node branches on the candidates that no other dominates, found by
-testing them maximal-first).  Each color's lower bound is its greedy
-fooling set, until its search finishes; the one mask prunes the search
-and gives the reported lower bound.  The answer is a
-``limits.SearchResult`` whose cover is a tuple of
-Rectangles in lexicographic order of (row_set, col_set).  One
+testing them maximal-first, once per branch cell and uncovered cells
+within its candidates' reach; a child whose uncovered cells exceed what
+its rectangles left can cover is counted at its parent, not entered).
+Each color's lower bound is its greedy fooling set, until its search
+finishes; the one mask prunes the search and gives the reported lower
+bound.  The answer is a ``limits.SearchResult`` whose cover is a tuple
+of Rectangles in lexicographic order of (row_set, col_set).  One
 Close-by-One search (Kuznetsov 1993) finds the closed (maximal)
 monochromatic rectangles.  Over the columns it enumerates them all.
 Over the rows it finds a maximum-area one, since every maximum-area
@@ -472,6 +474,21 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     U is dominated by another's (``_undominated``): the other is always
     at least as good.
 
+    Each branch cell c has a reach, the cells its candidates cover, and
+    a memo keyed by (c, U & reach), at most 100,000 entries, freed on
+    return: a candidate's coverage of U is its coverage of U & reach,
+    so a node that finds its key there reuses the undominated
+    candidates, their coverages and the largest size.  A node also tests
+    each child before entering it.  With best_size - depth - 2
+    rectangles left to the child, each covering at most the largest
+    coverage of U, a child with more uncovered cells than those cover
+    cannot beat the incumbent and has no children.  It is counted as a
+    visit but not entered, so node counts, budget cuts and covers stay
+    those of a search that enters it and prunes it there.  Only the
+    ``seen`` table misses the child's entry, which changes a count only
+    once ``seen`` reaches its cap of 1,000,000 masks, under a budget of
+    over 1,000,000 nodes.
+
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``, as indices into cell_masks) and whether
     minimality was proved within the meter's budget.
@@ -486,20 +503,23 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         return best_sel, False
 
     # Rectangles by descending size, ties by index: each cell's
-    # candidates in branching order, as (index, mask) pairs that rec
-    # reads in place of cell_masks, and the masks the bound scans.
+    # candidates, in branching order, and the masks the bound scans.
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
     cells = index_bits(universe)
     cand_by_cell = {cell: [] for cell in cells}
     for i in by_size:
         for cell in index_bits(cell_masks[i]):
-            cand_by_cell[cell].append((i, cell_masks[i]))
+            cand_by_cell[cell].append(i)
     # Branch on fooling cells first (they pin distinct rectangles), then
     # scarce cells.
     cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
                                               len(cand_by_cell[c]), c))
     seen = {}  # uncovered mask -> fewest rectangles used to reach it
+    reach = {}  # branch cell -> the cells its candidates cover
+    # (branch cell, U & its reach) -> ([(index, coverage, its size)] of
+    # the undominated candidates, the largest size)
+    branchings = {}
     # (floor, scan) of the root and of each narrowing node on the path:
     # scan holds, as (area, mask) pairs by descending area, every
     # rectangle that covers floor cells of that node's uncovered cells.
@@ -508,14 +528,15 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
 
     def rec(uncovered, chosen, first):
         # Every cell before cell_order[first] is covered, and the
-        # caller has ticked the meter for this node.
+        # caller has ticked the meter for this node.  Unless U is empty,
+        # len(chosen) + 2 <= best_size: the search starts only when
+        # best_size exceeds the fooling count, at least 1, and a parent
+        # enters a child with cells left only while left > 0 below.
         nonlocal best_sel, best_size
         if uncovered == 0:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_sel = list(chosen)
-            return
-        if len(chosen) + 1 >= best_size:
             return
         prev = seen.get(uncovered)
         if prev is not None and prev <= len(chosen):
@@ -529,7 +550,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # the incumbent, ceil(|U| / maxcov) >= k exactly when no
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A
         # rectangle smaller than t cannot, nor can any after it.
-        t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
+        size = uncovered.bit_count()
+        t = -(-size // (best_size - len(chosen) - 1))
         for area, m in lists[-1][1]:
             if area < t:
                 return
@@ -539,31 +561,61 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
             return
         while not uncovered >> cell_order[first] & 1:
             first += 1
-        cands = cand_by_cell[cell_order[first]]
-        covs = [m & uncovered for _, m in cands]
-        kept = _undominated(covs)
+        cell = cell_order[first]
+        # A candidate covers no cell outside the cell's reach, so its
+        # coverage of U is its coverage of U & reach.
+        cell_reach = reach.get(cell)
+        if cell_reach is None:
+            cell_reach = 0
+            for i in cand_by_cell[cell]:
+                cell_reach |= cell_masks[i]
+            reach[cell] = cell_reach
+        within = uncovered & cell_reach
+        key = (cell, within)
+        branching = branchings.get(key)
+        if branching is None:
+            cands = cand_by_cell[cell]
+            covs = [cell_masks[i] & within for i in cands]
+            kept = [(cands[j], covs[j], covs[j].bit_count())
+                    for j in _undominated(covs)]
+            branching = kept, max(k[2] for k in kept)
+            if len(branchings) < 100_000:
+                branchings[key] = branching
+        kept, most = branching
         # A child's uncovered cells are U minus its coverage, and its t
         # is at least ceil(that count / left), as best_size only falls.
-        # When left is below 1 the depth check ends every child before
-        # it reads a list.
+        # When left is below 1 no child with cells left is entered, so
+        # none reads a list.
         left = best_size - len(chosen) - 2
+        # most_any bounds every coverage of U; while left < 1 the
+        # children's test below needs no bound.
+        most_any = 0
         if left > 0:
-            t_min = -(-(uncovered.bit_count()
-                        - max(covs[j].bit_count() for j in kept)) // left)
+            t_min = -(-(size - most) // left)
             for floor, scan in reversed(lists):
                 if floor <= t_min:
                     break
             narrowed = []
+            # A rectangle left out of narrowed covers below t_min cells.
+            most_any = t_min - 1
             for p in scan:
                 if p[0] < t_min:
                     break
-                if (p[1] & uncovered).bit_count() >= t_min:
+                c = (p[1] & uncovered).bit_count()
+                if c >= t_min:
                     narrowed.append(p)
+                    if c > most_any:
+                        most_any = c
             lists.append((t_min, narrowed))
-        for j in kept:
-            chosen.append(cands[j][0])
+        for i, cov, covered in kept:
             meter.tick()
-            rec(uncovered & ~covs[j], chosen, first + 1)
+            # A child with more cells left than its left rectangles
+            # cover, at most most_any each, cannot beat the incumbent:
+            # counted, but not entered.
+            if size - covered > (best_size - len(chosen) - 2) * most_any:
+                continue
+            chosen.append(i)
+            rec(uncovered & ~cov, chosen, first + 1)
             chosen.pop()
         if left > 0:
             lists.pop()

@@ -46,8 +46,15 @@ MUTANTS = (
      "lower += len(chosen) if done", "lower += len(chosen) + 1 if done",
      CAUGHT, "tests/test_rectangles.py::test_cover_results_pinned"),
     ("cover_depth_prune", "src/cclab/rectangles.py",
-     "if len(chosen) + 1 >= best_size:", "if len(chosen) + 2 >= best_size:",
+     "(best_size - len(chosen) - 2) * most_any",
+     "(best_size - len(chosen) - 3) * most_any",
      CAUGHT, "tests/test_rectangles.py::test_cover_matches_brute_force"),
+    ("cover_child_test_boundary", "src/cclab/rectangles.py",
+     "if size - covered > (best_size", "if size - covered >= (best_size",
+     CAUGHT, "tests/test_rectangles.py::test_cover_matches_brute_force"),
+    ("cover_memo_key_ignores_u", "src/cclab/rectangles.py",
+     "key = (cell, within)", "key = cell", CAUGHT,
+     "tests/test_rectangles.py::test_cover_bound_stages_decide_alike_on_random"),
     ("split_rule", "src/cclab/builder.py",
      "if 2 * rank_row <= rk + 3:", "if 2 * rank_row <= rk + 4:", CAUGHT,
      "tests/test_cli.py::test_construction_outputs_pinned"),
@@ -91,13 +98,18 @@ MUTANTS = (
      "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
      CAUGHT, "tests/test_cli.py::test_protocol_file_over_cap_is_user_error"),
     ("count_rule_unicode", "src/cclab/errors.py",
-     "if not (tok.isascii() and tok.isdigit()):",
-     "if not tok.isdigit():", CAUGHT,
+     "if not (digits.isascii() and digits.isdigit()):",
+     "if not digits.isdigit():", CAUGHT,
      "tests/test_cli.py::test_numbers_not_in_ascii_digits_are_refused"),
     ("report_lift_late", "src/cclab/builder.py",
      "    check_lift(f, n)  # before the searches: the cover below lifts f\n",
      "", CAUGHT,
      "tests/test_cli.py::test_report_checks_the_lift_before_searching"),
+    ("budgets_ok_always", "src/cclab/builder.py",
+     '        """Both step budgets, plus every recorded integer check."""\n',
+     '        """Both step budgets, plus every recorded integer check."""\n'
+     "        return True\n", CAUGHT,
+     "tests/test_builder.py::test_budgets_ok_fails_on_each_check"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

@@ -8,8 +8,8 @@ from cclab import (BoolFun, CapacityError, InvariantError, Rectangle,
                    max_mono_rectangle, rank, rank_step_budget, restrict,
                    shrink_step_budget, theorem_report, verify, xor_power)
 from cclab.builder import (ALICE_SENDS, BOB_SENDS, DIRECT_MAX, LIFT_EXTRACT,
-                           _area_guarantee, choose_split,
-                           find_big_rectangle)
+                           BuildStep, BuildTrace, _area_guarantee,
+                           _ceil_nth_root, choose_split, find_big_rectangle)
 from cclab.rectangles import EXACT
 
 from oracles import rank_fractions, random_sign
@@ -141,6 +141,37 @@ def test_step_budget_helpers():
     assert rank_step_budget(5) == 9  # ceil(log_{5/4} 5) = 8
     assert shrink_step_budget(1, 1, 1) == 8
     assert shrink_step_budget(2, 9, 2) == 48  # ceil(16 * 3) via integer root
+
+
+def test_ceil_nth_root_small_values():
+    for n in (1, 2, 3):
+        for t in (0, 1, 2, 9):
+            want = next(s for s in range(10) if s ** n >= t)
+            assert _ceil_nth_root(t, n) == want, (t, n)
+
+
+def test_budgets_ok_fails_on_each_check():
+    # rank 5 and C = 9 at n = 2: budgets 9 rank steps and 8*5*3 = 120
+    # shrink steps, each met exactly and missed by one.
+    rank_budget = rank_step_budget(5)
+    shrink_budget = shrink_step_budget(5, 9, 2)
+    assert (rank_budget, shrink_budget) == (9, 120)
+
+    def trace(rank_steps=rank_budget, shrink_steps=shrink_budget,
+              cover_value=9, **checks):
+        step = BuildStep("split", 4, 4, 5, ALICE_SENDS, 4, 4, **checks)
+        return BuildTrace((step,), rank_steps, shrink_steps, "tiny", 5,
+                          cover_value, 2)
+
+    assert trace().budgets_ok()
+    assert trace(area_check=True, shrink_check=True).budgets_ok()
+    assert not trace(rank_steps=rank_budget + 1).budgets_ok()
+    assert not trace(shrink_steps=shrink_budget + 1).budgets_ok()
+    # Without a cover value there is no shrink budget to miss.
+    assert trace(shrink_steps=shrink_budget + 1,
+                 cover_value=None).budgets_ok()
+    assert not trace(area_check=False, shrink_check=True).budgets_ok()
+    assert not trace(area_check=True, shrink_check=False).budgets_ok()
 
 
 def test_area_guarantee_at_its_exact_boundary():

@@ -467,6 +467,21 @@ def test_protocol_file_bad_leaves_are_user_errors(tmp_path, capsys):
             assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_rare_input_errors_are_one_line(tmp_path, capsys):
+    # A tree that is a list, a matrix file with a stray fourth line, and
+    # a report with no family.
+    proto = tmp_path / "list.json"
+    proto.write_text('{"rows":1,"cols":1,"tree":[1]}')
+    assert "tree node must be an object" in refusal(
+        ["balance", "--in", str(proto)], capsys)
+    src = tmp_path / "stray.bfn"
+    src.write_text("2 2\n01\n10\n11\n")
+    assert "line 4, col 1: unexpected trailing content" in refusal(
+        ["measure", "--in", str(src)], capsys)
+    assert "report requires --family" in refusal(["report", "--m", "2"],
+                                                 capsys)
+
+
 # ----------------------------------------------------------- report
 
 def test_report_sweep_csv(tmp_path):
@@ -573,10 +588,18 @@ def _reading(reader, tok, tmp_path):
                 "--limits", f"node={tok}"]
     if reader == "measure --m":
         return ["measure", "--family", "eq", "--m", tok]
+    if reader == "--n":
+        return ["report", "--family", "eq", "--m", "2", "--n", tok]
+    if reader == "--seed":
+        return ["gen", "--family", "random", "--m", "3", "--seed", tok]
+    if reader == "--value":  # a bit: tok with its 3 written as 1
+        tok = tok.replace("3", "1").translate({0x663: 0x661, 0xb3: 0xb9})
+        return ["gen", "--family", "const", "--m", "3", "--value", tok]
     return ["report", "--family", "eq", "--m", f"2,{tok}"]
 
 
-_READERS = ["bfn", "rect", "limits", "measure --m", "report --m"]
+_READERS = ["bfn", "rect", "limits", "measure --m", "report --m", "--n",
+            "--seed", "--value"]
 
 
 @pytest.mark.parametrize("reader", _READERS)
@@ -596,7 +619,8 @@ def test_flag_numbers_take_no_spaces(argv, capsys):
     refusal(argv, capsys)
 
 
-@pytest.mark.parametrize("reader, code", zip(_READERS, [0, 0, 2, 0, 0]))
+@pytest.mark.parametrize("reader, code",
+                         zip(_READERS, [0, 0, 2, 0, 0, 0, 0, 0]))
 def test_numbers_in_ascii_digits_are_read(reader, code, tmp_path, capsys):
     outs = []
     for tok in ("3", "03"):
@@ -605,6 +629,19 @@ def test_numbers_in_ascii_digits_are_read(reader, code, tmp_path, capsys):
         assert captured.err == ""
         outs.append(captured.out)
     assert outs[0] == outs[1] != ""
+
+
+def test_seed_takes_a_leading_minus(capsys):
+    gen = ["gen", "--family", "random", "--m", "3", "--seed"]
+    assert run(gen + ["-7"]) == 0
+    negative = capsys.readouterr().out
+    assert run(gen + ["-07"]) == 0
+    assert capsys.readouterr().out == negative
+    assert run(gen + ["7"]) == 0
+    assert capsys.readouterr().out != negative
+    for tok in ("-", "- 7", "-\u0667"):
+        assert f"{tok!r} is not an integer" in refusal(gen + [tok], capsys)
+    refusal(gen + ["-+7"], capsys)  # read as a flag, so --seed has no value
 
 
 # ----------------------------------------------------------- limits

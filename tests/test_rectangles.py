@@ -354,6 +354,25 @@ def test_cover_search_counts_every_visit():
         BOUNDS, 17, 31, 3002)
 
 
+def test_cover_search_filters_each_branching_once(monkeypatch):
+    # gt4^2 branches 14,348 times at this budget, on 1,208 distinct
+    # (branch cell, uncovered cells within its candidates' reach): the
+    # dominance filter runs once for each.
+    calls = []
+
+    def counted(covs):
+        calls.append(len(covs))
+        return _undominated(covs)
+
+    monkeypatch.setattr(rectangles, "_undominated", counted)
+    gt4sq = xor_power(make_family("gt", 4), 2)
+    res = cover_number(gt4sq, limits=SearchLimits(node_budget=30000,
+                                                  rect_budget=100000))
+    assert (res.status, res.lower, res.upper, res.nodes) == (
+        BOUNDS, 16, 29, 30002)
+    assert len(calls) == 1208
+
+
 def test_cover_results_pinned():
     # Status, bounds, node count and cover of cover_number, hashed: eq8,
     # a budget-cut gt3^3, random 3x3^3 seed 3 and 100 random 3x3-7x7
