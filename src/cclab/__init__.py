@@ -16,7 +16,8 @@ from .rectangles import (Rectangle, check_monochromatic, cover_number,
                          max_mono_rectangle, validate_cover)
 from .entropy import extract_rectangle
 from .protocol import (ALICE, BOB, Leaf, Node, ProtocolTree, balance,
-                       evaluate, exact_cc, tree_from_obj, tree_to_obj, verify)
+                       evaluate, exact_cc, format_tree, tree_from_obj,
+                       tree_to_obj, verify)
 from .builder import (build_protocol, leaf_budget, rank_step_budget,
                       shrink_step_budget, theorem_report)
 

@@ -20,7 +20,6 @@ and --seed after an optional leading '-'.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -32,7 +31,7 @@ from .limits import SearchLimits
 from .matrix import (FAMILIES, BoolFun, classes, format_bfn, make_family,
                      rank, read_bfn, xor_power)
 from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
-                       first_mismatch, tree_from_obj, tree_to_obj)
+                       first_mismatch, format_tree, tree_from_obj)
 from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
 
@@ -235,10 +234,10 @@ def _cmd_build(args) -> int:
         cover_value = cov.value if cov.exact else None
     tree, trace = build_protocol(f, args.n, strategy=args.strategy,
                                  cover_value=cover_value)
-    _emit(json.dumps(tree_to_obj(tree), sort_keys=True, indent=2) + "\n",
-          args.out)
-    trace_obj = dict(dataclasses.asdict(trace), budgets_ok=trace.budgets_ok(),
-                     leaves=tree.leaf_count, depth=tree.depth)
+    _emit(format_tree(tree), args.out)
+    trace_obj = dict(vars(trace), steps=[vars(s) for s in trace.steps],
+                     budgets_ok=trace.budgets_ok(), leaves=tree.leaf_count,
+                     depth=tree.depth)
     _emit(json.dumps(trace_obj, sort_keys=True, indent=2) + "\n",
           args.out + ".trace.json")
     # greedy mode has nothing to audit
@@ -257,9 +256,7 @@ def _read_tree(path) -> ProtocolTree:
 
 
 def _cmd_balance(args) -> int:
-    out = balance(_read_tree(args.in_path))
-    _emit(json.dumps(tree_to_obj(out), sort_keys=True, indent=2) + "\n",
-          args.out)
+    _emit(format_tree(balance(_read_tree(args.in_path))), args.out)
     return 0
 
 

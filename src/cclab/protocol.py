@@ -329,6 +329,40 @@ def tree_to_obj(t: ProtocolTree) -> dict:
     return {"rows": t.n_rows, "cols": t.n_cols, "tree": _node_to_obj(t.root)}
 
 
+def format_tree(t: ProtocolTree) -> str:
+    """The protocol file of t: exactly
+    ``json.dumps(tree_to_obj(t), sort_keys=True, indent=2) + "\\n"``,
+    written straight from the nodes, since json's indent encoder runs in
+    pure Python.  Nodes wait on an explicit stack, in preorder (keys
+    sorted: child0, child1, speaker, subset), so no tree is too deep
+    for it."""
+    out = [f'{{\n  "cols": {t.n_cols},\n  "rows": {t.n_rows},\n  "tree": ']
+    stack = [(t.root, 2)]  # nodes with their nesting level, and text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        pad = "  " * level
+        close = f"\n{pad[2:]}}}"
+        if isinstance(node, Leaf):
+            out.append(f'{{\n{pad}"output": {node.output}{close}')
+            continue
+        subset = "[]"
+        if node.subset:
+            line = f"\n{pad}  "  # one member a line
+            members = f",{line}".join(map(str, sorted(node.subset)))
+            subset = f"[{line}{members}\n{pad}]"
+        out.append(f'{{\n{pad}"child0": ')
+        stack += (f',\n{pad}"speaker": "{node.speaker}",\n'
+                  f'{pad}"subset": {subset}{close}',
+                  (node.child1, level + 1), f',\n{pad}"child1": ',
+                  (node.child0, level + 1))
+    out.append("\n}\n")
+    return "".join(out)
+
+
 def tree_from_obj(obj) -> ProtocolTree:
     if (not isinstance(obj, dict) or "tree" not in obj
             or not _is_int(obj.get("rows")) or not _is_int(obj.get("cols"))):

@@ -110,6 +110,19 @@ MUTANTS = (
      '        """Both step budgets, plus every recorded integer check."""\n'
      "        return True\n", CAUGHT,
      "tests/test_builder.py::test_budgets_ok_fails_on_each_check"),
+    ("budget_audit_unraised", "src/cclab/builder.py",
+     "        raise InvariantError(\"built protocol exceeds the paper's "
+     "budgets\")\n", "        pass\n", CAUGHT,
+     "tests/test_builder.py::test_build_raises_on_failed_budget_audit"),
+    ("format_tree_unsorted", "src/cclab/protocol.py",
+     "map(str, sorted(node.subset))", "map(str, node.subset)", CAUGHT,
+     "tests/test_protocol.py::test_format_tree_is_json_dumps"),
+    ("format_tree_children_swapped", "src/cclab/protocol.py",
+     "(node.child1, level + 1), f',\\n{pad}\"child1\": ',\n"
+     "                  (node.child0, level + 1))",
+     "(node.child0, level + 1), f',\\n{pad}\"child1\": ',\n"
+     "                  (node.child1, level + 1))", CAUGHT,
+     "tests/test_protocol.py::test_format_tree_is_json_dumps"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

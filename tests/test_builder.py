@@ -275,6 +275,19 @@ def test_build_raises_on_failed_verification(monkeypatch):
         build_protocol(make_family("eq", 4), 1)
 
 
+def test_build_raises_on_failed_budget_audit(monkeypatch):
+    # ip8 splits at its root, so a rank-step budget of 0 fails the
+    # audit, which runs when the cover value is given.
+    import cclab.builder as builder
+
+    ip8 = make_family("ip", 8)
+    cover_value = cover_number(ip8).value
+    monkeypatch.setattr(builder, "rank_step_budget", lambda rk: 0)
+    with pytest.raises(InvariantError, match="budgets"):
+        build_protocol(ip8, 1, cover_value=cover_value)
+    assert build_protocol(ip8, 1)[1].rank_steps > 0  # greedy: no audit
+
+
 def test_balanced_composition():
     for seed in range(4):
         f = random_sign(7, 7, 4500 + seed)

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -53,6 +56,19 @@ def test_gen_random_deterministic(tmp_path):
         assert run(["gen", "--family", "random", "--m", "6", "--seed", "7",
                     "--out", str(out)]) == 0
     assert sha(a) == sha(b)
+
+
+def test_module_entry_runs_main(capsys):
+    argv = ["gen", "--family", "eq", "--m", "2"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, (str(src),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "cclab", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_gen_requires_one_source(tmp_path, capsys):
@@ -672,6 +688,17 @@ def test_bad_limits_flag(capsys):
     assert run(["measure", "--family", "xor", "--m", "2",
                 "--limits", "bogus=3"]) == 1
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["node=0", "rects=0", "ms=0"])
+@pytest.mark.parametrize("command", ["measure", "build", "report"])
+def test_zero_limits_are_refused(command, limit, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = [command, "--family", "eq", "--m", "2", "--limits", limit]
+    if command == "build":
+        argv += ["--out", str(out)]
+    assert refusal(argv, capsys) == "error: limits must be positive"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -28,6 +28,8 @@ def test_eq4_diagonal():
     f = make_family("eq", 4)
     want = [[-1 if x == y else 1 for y in range(4)] for x in range(4)]
     assert f.sign.tolist() == want
+    assert repr(f) == "<BoolFun 'eq4' 4x4>"
+    assert repr(BoolFun(f.sign[:2, :3])) == "<BoolFun 2x3>"
 
 
 def test_and2_is_boolean_and():

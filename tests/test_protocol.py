@@ -2,14 +2,15 @@ import gc
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 from cclab import (ALICE, BOB, BoolFun, Leaf, Node, ProtocolTree,
                    SearchLimits, StructureError, balance, build_protocol,
-                   cover_number, evaluate, exact_cc, make_family, rank,
-                   restrict, splitmix64, theorem_report, tree_from_obj,
-                   tree_to_obj, verify, xor_power)
+                   cover_number, evaluate, exact_cc, format_tree,
+                   make_family, rank, restrict, splitmix64, theorem_report,
+                   tree_from_obj, tree_to_obj, verify, xor_power)
 from cclab.protocol import first_mismatch
 
 from oracles import all_sign_matrices, brute_cc, random_sign
@@ -21,6 +22,13 @@ def _xor2_tree():
     def bob(x):
         return Node(BOB, frozenset([1]), Leaf(x ^ 0), Leaf(x ^ 1))
     return ProtocolTree(Node(ALICE, frozenset([1]), bob(0), bob(1)), 2, 2)
+
+
+def _chain(depth):
+    node = Leaf(1)
+    for _ in range(depth):
+        node = Node(ALICE, frozenset([0]), Leaf(0), node)
+    return node
 
 
 # ----------------------------------------------------------- evaluate
@@ -82,16 +90,14 @@ def test_structure_bad_speaker_and_output():
 def test_structure_deep_chain_is_structure_error():
     # Validation recurses once per level; a chain too deep for it is a
     # malformed tree, not a crash.
-    node = Leaf(1)
-    for _ in range(5000):
-        node = Node(ALICE, frozenset([0]), Leaf(0), node)
     with pytest.raises(StructureError):
-        ProtocolTree(node, 2, 2)
+        ProtocolTree(_chain(5000), 2, 2)
 
 
 def test_leaf_count_and_depth():
     t = _xor2_tree()
     assert t.leaf_count == 4 and t.depth == 2
+    assert repr(t) == "<ProtocolTree 2x2 leaves=4 depth=2>"
 
 
 # ----------------------------------------------------------- serialization
@@ -104,6 +110,33 @@ def test_tree_json_round_trip():
         again = tree_from_obj(json.loads(blob))
         assert again == t
         assert json.dumps(tree_to_obj(again), sort_keys=True) == blob
+
+
+def test_format_tree_is_json_dumps():
+    # Random trees of several sizes, a node with an empty subset, a
+    # 990-deep chain, and the built and balanced trees of the CLI's
+    # construction pins (tests/test_cli.py).
+    stream = splitmix64(4242)
+    trees = [random_tree(3 + next(stream) % 12, 3 + next(stream) % 12,
+                         leaves, stream)
+             for leaves in (1, 2, 3, 7, 20, 60, 150) for _ in range(3)]
+    trees.append(ProtocolTree(Node(BOB, frozenset(), Leaf(0), Leaf(1)), 1, 2))
+    for family, m, seed, n, strategy in (
+            ("ip", 8, None, 1, "direct"), ("eq", 12, None, 1, "direct"),
+            ("random", 16, 1, 1, "direct"), ("random", 6, 4, 2, "lift"),
+            ("gt", 5, None, 2, "lift"), ("eq", 4, None, 1, "direct")):
+        tree = build_protocol(make_family(family, m, seed=seed), n,
+                              strategy=strategy)[0]
+        trees += [tree, balance(tree)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)  # json's encoder nests once per level
+    try:
+        trees.append(ProtocolTree(_chain(990), 2, 2))
+        for t in trees:
+            expected = json.dumps(tree_to_obj(t), sort_keys=True, indent=2)
+            assert format_tree(t) == expected + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_from_obj_errors():
