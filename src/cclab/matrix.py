@@ -13,8 +13,9 @@ anywhere in this module.  All values are immutable after construction.
 The searches see f only through its row/column classes (``classes``)
 and integer bitmasks: ``BoolFun.masks(color)`` holds the masks of the
 cells of sign ``color``, derived on first use and cached per color,
-never written again, so the sign convention stays in this module; and
-``index_bits`` is the one mask-to-indices decoder.
+never written again, so the sign convention stays in this module;
+``row_bits`` is the one array-to-mask encoder and ``index_bits`` the
+one mask-to-indices decoder.
 """
 
 from __future__ import annotations
@@ -102,10 +103,7 @@ class BoolFun:
             if color not in (1, -1):
                 raise ValueError("color must be +1 or -1")
             on = self.sign == color
-            got = self._masks[color] = tuple(
-                tuple(int.from_bytes(row.tobytes(), "little") for row in
-                      np.packbits(side, axis=1, bitorder="little"))
-                for side in (on, on.T))
+            got = self._masks[color] = (row_bits(on), row_bits(on.T))
         return got
 
     def __repr__(self):
@@ -118,6 +116,13 @@ def check_cap(what: str, cells: int) -> None:
     if cells > DESK_CELL_CAP:
         raise CapacityError(f"{what} {cells} cells, over the desk-scale "
                             f"cap of {DESK_CELL_CAP}")
+
+
+def row_bits(on) -> tuple:
+    """The rows of the 2-D boolean array ``on`` as integer bitmasks, by
+    one ``np.packbits``: bit y of mask x is set iff on[x, y]."""
+    return tuple(int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(on, axis=1, bitorder="little"))
 
 
 def index_bits(mask: int) -> tuple:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from .errors import StructureError
 from .limits import (EXACT, INTERVAL, BudgetExceeded, Meter, SearchLimits,
                      SearchResult)
-from .matrix import BoolFun, check_cap, classes, exact_rank
+from .matrix import (BoolFun, check_cap, classes, exact_rank, index_bits,
+                     row_bits)
 
 ALICE = "alice"
 BOB = "bob"
@@ -125,14 +126,37 @@ def evaluate(t: ProtocolTree, x: int, y: int):
 
 def first_mismatch(t: ProtocolTree, f: BoolFun):
     """The first input (x, y), in row-major order, on which the tree's
-    output differs from f, or None if it computes f everywhere."""
+    output differs from f, or None if it computes f everywhere.
+
+    The leaves' rectangles partition the inputs, so this is the least
+    of each leaf's first mismatch.  One walk, on an explicit stack,
+    carries each node's (row mask, column mask) down to its leaves, and
+    a leaf checks its rows against row masks of f's values."""
     if t.n_rows != f.rows or t.n_cols != f.cols:
         raise ValueError("tree and function index spaces differ")
-    for x in range(f.rows):
-        for y in range(f.cols):
-            if evaluate(t, x, y)[0] != f.f_value(x, y):
-                return x, y
-    return None
+    ones = row_bits(f.sign < 0)  # the cells where f = 1
+    best = None
+    stack = [(t.root, (1 << f.rows) - 1, (1 << f.cols) - 1)]
+    while stack:
+        node, rmask, cmask = stack.pop()
+        if isinstance(node, Node):
+            part = sum(1 << i for i in node.subset)
+            if node.speaker == ALICE:
+                stack += ((node.child0, rmask & ~part, cmask),
+                          (node.child1, rmask & part, cmask))
+            else:
+                stack += ((node.child0, rmask, cmask & ~part),
+                          (node.child1, rmask, cmask & part))
+            continue
+        flip = cmask if node.output else 0
+        for x in index_bits(rmask):
+            wrong = (ones[x] ^ flip) & cmask
+            if wrong:
+                cell = x, (wrong & -wrong).bit_length() - 1
+                if best is None or cell < best:
+                    best = cell
+                break
+    return best
 
 
 def verify(t: ProtocolTree, f: BoolFun) -> bool:

@@ -32,8 +32,9 @@ search knows which sign is f = 1, and handle a rectangle as its (row
 mask, col mask) pair, in the set cover also as its cell mask (bit x *
 cols + y).  Only what a caller sees, the enumerated rectangles and
 the chosen cover, becomes Rectangles of sorted index tuples.
-``validate_cover`` shares none of the search's masks: it marks the
-covered cells in a boolean grid.
+``validate_cover`` shares none of the search's masks: it packs the
+signs into row masks of its own, checks each rectangle row by row
+against them and ORs its columns into each of its rows' coverage.
 
 Determinism: every search breaks ties lexicographically, results are
 identical across runs for the same inputs and limits.
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import InvariantError, ParseError, parse_count
 from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
                      SearchLimits, SearchResult)
-from .matrix import BoolFun, index_bits
+from .matrix import BoolFun, index_bits, row_bits
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,9 @@ def _maximal_masks(f: BoolFun, budget: int) -> tuple:
     """Each color's closed rectangles, {color: [(row mask, col mask)]}
     with each list in ``Rectangle.key`` order, and the truncated flag:
     if more than ``budget`` exist, the first ``budget`` found, color +1
-    first."""
+    first.  A closed rectangle's rows fix its columns, so no two of one
+    color share a row set, and sorting by the rows alone gives that
+    order."""
     found = {1: [], -1: []}
     for color, pairs in found.items():
         def collect(a, b):
@@ -184,7 +187,7 @@ def _maximal_masks(f: BoolFun, budget: int) -> tuple:
             return False
 
         truncated = _close_by_one(f.masks(color)[1], f.rows, collect)
-        pairs.sort(key=lambda p: (index_bits(p[0]), index_bits(p[1])))
+        pairs.sort(key=lambda p: index_bits(p[0]))
         if truncated:
             break
     return found, truncated
@@ -298,16 +301,24 @@ def _fooling_cells(f: BoolFun, color: int) -> int:
     """Greedy fooling set of one color, as a cell mask: the cells of
     sign ``color`` in row-major order, each kept unless it fits in one
     monochromatic rectangle with a kept cell.  Each kept cell needs its
-    own cover rectangle, so the count lower-bounds the color's cover."""
+    own cover rectangle, so the count lower-bounds the color's cover.
+
+    Two cells of one row fit in a 1x2 rectangle, so a row keeps at most
+    one: its lowest cell of the color outside ``blocked``, the columns
+    of the rows of the kept cells (x2, y2) whose column y2 it holds."""
     row_cols = f.masks(color)[0]
-    kept = []
+    kept = []  # (row mask, column bit) of each kept cell
     mask = 0
     for x, cols in enumerate(row_cols):
-        for y in index_bits(cols):
-            if not any(cols >> y2 & 1 and row_cols[x2] >> y & 1
-                       for x2, y2 in kept):
-                kept.append((x, y))
-                mask |= 1 << (x * f.cols + y)
+        blocked = 0
+        for cols2, bit2 in kept:
+            if cols & bit2:
+                blocked |= cols2
+        free = cols & ~blocked
+        if free:
+            low = free & -free
+            kept.append((cols, low))
+            mask |= low << x * f.cols
     return mask
 
 
@@ -320,13 +331,23 @@ def fooling_set_bound(f: BoolFun) -> int:
 def validate_cover(f: BoolFun, cover: tuple) -> bool:
     """Independent re-validation of a cover, a tuple of Rectangles:
     every rectangle monochromatic with its stated color, and every cell
-    covered."""
-    seen = np.zeros((f.rows, f.cols), dtype=bool)
+    covered.  Each row x is a mask: ``neg[x]`` of its cells of sign -1,
+    ``seen[x]`` of its covered cells."""
+    neg = row_bits(f.sign < 0)
+    seen = [0] * f.rows
     for r in cover:
-        if r.color is None or check_monochromatic(f, r) != r.color:
+        if r.color is None:
             return False
-        seen[np.ix_(r.row_set, r.col_set)] = True
-    return bool(seen.all())
+        if r.row_set[-1] >= f.rows or r.col_set[-1] >= f.cols:
+            raise ValueError("rectangle indices out of range")
+        cols = sum(1 << y for y in r.col_set)
+        want = cols if r.color < 0 else 0  # its rows' cells of sign -1
+        for x in r.row_set:
+            if neg[x] & cols != want:
+                return False
+            seen[x] |= cols
+    full = (1 << f.cols) - 1
+    return all(s == full for s in seen)
 
 
 def _grid_mask(a: int, b: int, cols: int) -> int:

@@ -4,7 +4,9 @@ Each mutant replaces one exact text in one source file.  The probe
 applies them one at a time, each to a fresh temporary copy of the
 repository, and runs ``python -m pytest -x -q`` there: first on the
 test listed as the one that catches it, if any, then, if that passes,
-on the whole suite.  A mutant the suite does not catch is a survivor.
+on the whole suite but ``tests/test_mutation_probe.py``, which checks
+this list against the source and so fails on every mutant.  A mutant
+the suite does not catch is a survivor.
 
     python tests/mutation_probe.py            # every mutant
     python tests/mutation_probe.py cover_lower split_side_order
@@ -32,12 +34,47 @@ CAUGHT = "caught"
 OPEN = "open"              # a known survivor: no test reaches it yet
 EQUIVALENT = "equivalent"  # behaves like the original on every input
 
+# The tier-1 check of this list; a mutant removes its old text, so the
+# check fails on every mutant and the suite runs without it.
+LIST_CHECK = "tests/test_mutation_probe.py"
+
 # (name, file, old text, new text, expected outcome, the test that
 # should fail or why the mutant survives)
 MUTANTS = (
     ("validate_cover_coverage", "src/cclab/rectangles.py",
-     "    return bool(seen.all())\n", "    return True\n", CAUGHT,
+     "    return all(s == full for s in seen)\n", "    return True\n", CAUGHT,
      "tests/test_rectangles.py::test_validate_cover_rejects_each_defect"),
+    ("validate_cover_color_ignored", "src/cclab/rectangles.py",
+     "want = cols if r.color < 0 else 0", "want = 0", CAUGHT,
+     "tests/test_rectangles.py::"
+     "test_validate_cover_matches_the_grid_reference"),
+    ("fooling_blocked_ignored", "src/cclab/rectangles.py",
+     "free = cols & ~blocked", "free = cols", CAUGHT,
+     "tests/test_rectangles.py::test_fooling_cells_match_scan"),
+    ("first_mismatch_walk_order", "src/cclab/protocol.py",
+     "if best is None or cell < best:", "if best is None:", CAUGHT,
+     "tests/test_protocol.py::"
+     "test_first_mismatch_matches_a_per_cell_evaluate"),
+    ("enumerate_budget_unraised", "src/cclab/rectangles.py",
+     '        raise ValueError("budget must be positive")\n', "        pass\n",
+     CAUGHT,
+     "tests/test_rectangles.py::test_enumerate_refuses_a_budget_below_one"),
+    ("cover_mode_unraised", "src/cclab/rectangles.py",
+     "        raise ValueError(\"mode must be 'exact' or 'greedy'\")\n",
+     "        pass\n", CAUGHT,
+     "tests/test_rectangles.py::test_cover_refuses_an_unknown_mode"),
+    ("shrink_budget_unraised", "src/cclab/builder.py",
+     '        raise ValueError("cover value must be >= 1")\n', "        pass\n",
+     CAUGHT,
+     "tests/test_builder.py::test_budget_helpers_refuse_values_below_one"),
+    ("leaf_budget_unraised", "src/cclab/builder.py",
+     '        raise ValueError("rank must be >= 1")\n', "        pass\n", CAUGHT,
+     "tests/test_builder.py::test_budget_helpers_refuse_values_below_one"),
+    ("strategy_unraised", "src/cclab/builder.py",
+     '        raise ValueError(f"unknown strategy {strategy!r}")\n',
+     "        pass\n", CAUGHT,
+     "tests/test_builder.py::"
+     "test_find_big_rectangle_refuses_an_unknown_strategy"),
     ("area_guarantee_boundary", "src/cclab/builder.py",
      "cover_value >= cells ** n\n", "cover_value >= cells ** n - 1\n",
      CAUGHT,
@@ -163,7 +200,7 @@ def run_mutant(file: str, old: str, new: str, test: str | None):
             ".git", "__pycache__", ".pytest_cache", ".perfbench_out"))
         (copy / file).write_text(text.replace(old, new), encoding="utf-8")
         return ((test and _first_failure(copy, test))
-                or _first_failure(copy))
+                or _first_failure(copy, f"--ignore={LIST_CHECK}"))
 
 
 def main(argv: list) -> int:

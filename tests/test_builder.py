@@ -122,6 +122,12 @@ def test_find_big_capacity_error_advises_direct():
         find_big_rectangle(f, 3, strategy="lift")
 
 
+def test_find_big_rectangle_refuses_an_unknown_strategy():
+    with pytest.raises(ValueError) as err:
+        find_big_rectangle(make_family("eq", 4), 1, "nope")
+    assert str(err.value) == "unknown strategy 'nope'"
+
+
 # ----------------------------------------------------------- budgets
 
 def test_leaf_budget_instantiation():
@@ -141,6 +147,15 @@ def test_step_budget_helpers():
     assert rank_step_budget(5) == 9  # ceil(log_{5/4} 5) = 8
     assert shrink_step_budget(1, 1, 1) == 8
     assert shrink_step_budget(2, 9, 2) == 48  # ceil(16 * 3) via integer root
+
+
+def test_budget_helpers_refuse_values_below_one():
+    with pytest.raises(ValueError) as err:
+        shrink_step_budget(5, 0, 1)
+    assert str(err.value) == "cover value must be >= 1"
+    with pytest.raises(ValueError) as err:
+        leaf_budget(0, 1, 1)
+    assert str(err.value) == "rank must be >= 1"
 
 
 def test_ceil_nth_root_small_values():

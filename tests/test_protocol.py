@@ -64,6 +64,41 @@ def test_verify_examples():
     assert first_mismatch(_xor2_tree(), make_family("xor", 2)) is None
 
 
+def _evaluate_mismatch(t, f):
+    """The row-major first cell where ``evaluate`` differs from f."""
+    for x in range(f.rows):
+        for y in range(f.cols):
+            if evaluate(t, x, y)[0] != f.f_value(x, y):
+                return x, y
+    return None
+
+
+def test_first_mismatch_matches_a_per_cell_evaluate():
+    # Single leaves and random trees of several shapes, non-square ones
+    # included, against random matrices and against the tree's own
+    # function with 1, 2 and 5 cells flipped.
+    stream = splitmix64(1357)
+    trees = [ProtocolTree(Leaf(b), r, c)
+             for b in (0, 1) for r, c in ((1, 1), (1, 4), (3, 2))]
+    for r, c in ((1, 6), (6, 1), (2, 9), (7, 3), (8, 8), (5, 11)):
+        trees += [random_tree(r, c, leaves, stream) for leaves in (2, 5, 40)]
+    trees += [caterpillar_tree(5, 5, 20, stream),
+              caterpillar_tree(3, 7, 9, stream)]
+    for k, t in enumerate(trees):
+        own = [[1 - 2 * evaluate(t, x, y)[0] for y in range(t.n_cols)]
+               for x in range(t.n_rows)]
+        assert first_mismatch(t, BoolFun(own)) is None
+        fs = [random_sign(t.n_rows, t.n_cols, 900 + k)]
+        for flips in (1, 2, 5):
+            sign = [row[:] for row in own]
+            for _ in range(flips):
+                x, y = divmod(next(stream) % (t.n_rows * t.n_cols), t.n_cols)
+                sign[x][y] = -sign[x][y]
+            fs.append(BoolFun(sign))
+        for f in fs:
+            assert first_mismatch(t, f) == _evaluate_mismatch(t, f)
+
+
 def test_verify_dimension_mismatch():
     with pytest.raises(ValueError):
         verify(ProtocolTree(Leaf(0), 2, 2), make_family("eq", 3))

@@ -108,6 +108,12 @@ def test_enumerate_budget_truncates():
     assert cut.truncated and len(cut.rects) == 3
 
 
+def test_enumerate_refuses_a_budget_below_one():
+    with pytest.raises(ValueError) as err:
+        enumerate_maximal_mono(make_family("eq", 4), 0)
+    assert str(err.value) == "budget must be positive"
+
+
 def test_enumerate_sorted_lexicographically():
     f = random_sign(4, 4, 77)
     res = enumerate_maximal_mono(f)
@@ -273,6 +279,12 @@ def test_greedy_mode_valid_upper_bound():
             greedy.value
         assert validate_cover(f, greedy.cover)
         assert greedy.upper >= exact.value >= greedy.lower
+
+
+def test_cover_refuses_an_unknown_mode():
+    with pytest.raises(ValueError) as err:
+        cover_number(make_family("eq", 4), mode="fast")
+    assert str(err.value) == "mode must be 'exact' or 'greedy'"
 
 
 def test_cover_node_budget_gives_bounds():
@@ -667,6 +679,52 @@ def test_validate_cover_rejects_each_defect():
         assert not validate_cover(f, tuple(cells + [grid]))
 
 
+def _grid_validate_cover(f, cover):
+    """validate_cover on a boolean grid: each rectangle's cells marked
+    by one fancy index, once its color is checked on them."""
+    seen = np.zeros((f.rows, f.cols), dtype=bool)
+    for r in cover:
+        if r.color is None or check_monochromatic(f, r) != r.color:
+            return False
+        seen[np.ix_(r.row_set, r.col_set)] = True
+    return bool(seen.all())
+
+
+def test_validate_cover_matches_the_grid_reference():
+    # Covers of random 1x1-9x9 inputs, and each with one defect.
+    rng = random.Random(23)
+    for k in range(81):
+        f = random_sign(1 + k // 9, 1 + k % 9, 7100 + k)
+        cover = list(cover_number(f, (EXACT, "greedy")[k % 2]).cover)
+        assert validate_cover(f, tuple(cover))
+        assert _grid_validate_cover(f, tuple(cover))
+        i = rng.randrange(len(cover))
+        r = cover[i]
+        defects = [
+            (cover[:i] + cover[i + 1:], None),  # still a cover if redundant
+            (cover[:i] + [Rectangle(r.row_set, r.col_set, color=-r.color)]
+             + cover[i + 1:], False),
+            (cover[:i] + [Rectangle(r.row_set, r.col_set)] + cover[i + 1:],
+             False)]
+        mixed = [(x, y) for x in range(f.rows) for y in range(f.cols)
+                 if f.sign[x, y] != f.sign[0, 0]]
+        if mixed:  # a rectangle of at most 2x2 holding both signs
+            x, y = mixed[rng.randrange(len(mixed))]
+            bad = Rectangle((0, x), (0, y), color=(1, -1)[k % 2])
+            assert check_monochromatic(f, bad) is None
+            defects.append((cover[:i] + [bad] + cover[i:], False))
+        for defective, want in defects:
+            got = validate_cover(f, tuple(defective))
+            assert got == _grid_validate_cover(f, tuple(defective))
+            assert want is None or got == want
+        for side in ((f.rows,), r.col_set), (r.row_set, (f.cols,)):
+            out = Rectangle(*side, color=r.color)
+            for check in (validate_cover, _grid_validate_cover):
+                with pytest.raises(ValueError) as err:
+                    check(f, tuple(cover[:i] + [out] + cover[i:]))
+                assert str(err.value) == "rectangle indices out of range"
+
+
 def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
     def short(universe, cell_masks, incumbent, fooling_mask, meter):
         return incumbent[:-1], True  # eq4's greedy covers are minimal
@@ -718,6 +776,10 @@ def test_fooling_cells_match_scan():
     mats = [random_sign(1 + s // 9, 1 + s % 9, 1200 + s) for s in range(81)]
     mats += [xor_power(make_family(fam, m), 2)
              for fam in ("eq", "gt", "and", "ip") for m in (2, 4)]
+    # The pinned 27x27 lifts: gt3^3 and the random 3x3^3 rows.
+    mats += [xor_power(make_family("gt", 3), 3)]
+    mats += [xor_power(make_family("random", 3, seed=s), 3)
+             for s in (3, 4, 6, 12, 13, 14, 16, 26)]
     for f in mats:
         want = _scan_fooling_cells(f)
         assert fooling_set_bound(f) == len(want)
