@@ -181,9 +181,10 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     """Build a protocol tree for f along the rank-splitting recursion.
 
     Returns (tree, trace): the tree is checked here to compute f, and
-    when cover_value, the exact cover number of f^(+n), is given, the
-    trace is audited against the paper's budgets (``budgets_ok``).
-    Either check failing is a bug, raised as InvariantError.
+    the trace is audited against the paper's budgets (``budgets_ok``):
+    the rank steps always, and the shrink steps and area checks when
+    cover_value, the exact cover number of f^(+n), is given.  Either
+    check failing is a bug, raised as InvariantError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -274,7 +275,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
                        shrink_steps=shrink_steps, base_case=base_case,
                        input_rank=input_rank, cover_value=cover_value, n=n)
-    if cover_value is not None and not trace.budgets_ok():
+    if not trace.budgets_ok():
         raise InvariantError("built protocol exceeds the paper's budgets")
     return tree, trace
 

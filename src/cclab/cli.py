@@ -30,8 +30,8 @@ from .errors import CapacityError, ParseError, StructureError, parse_count
 from .limits import SearchLimits
 from .matrix import (FAMILIES, BoolFun, classes, format_bfn, make_family,
                      rank, read_bfn, xor_power)
-from .protocol import (ProtocolTree, balance, evaluate, exact_cc,
-                       first_mismatch, format_tree, tree_from_obj)
+from .protocol import (ProtocolTree, balance, exact_cc, first_mismatch,
+                       format_tree, tree_from_obj)
 from .rectangles import EXACT, cover_number, read_rect
 from .entropy import extract_rectangle
 
@@ -211,15 +211,10 @@ def _cmd_extract(args) -> int:
         "T_rows": list(t.row_set), "T_cols": list(t.col_set),
         "check": f"(4*{t.area})^{args.n} >= {rect.area}: pass",
     }
-    k = math.log2(rect.area)
-    guarantee = 2.0 ** (k / args.n - 2)
-    if args.format == "json":
-        record["guarantee"] = guarantee
-        _emit(json.dumps(record, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        lines = [f"{key}: {_fmt(value)}" for key, value in record.items()]
-        lines.append(f"guarantee: |T| >= 2^(k/n - 2) = {_fmt(guarantee)}")
-        _emit("\n".join(lines) + "\n", args.out)
+    guarantee = 2.0 ** (math.log2(rect.area) / args.n - 2)
+    record["guarantee"] = (guarantee if args.format == "json" else
+                           f"|T| >= 2^(k/n - 2) = {_fmt(guarantee)}")
+    _emit(_render([record], args.format), args.out)
     return 0
 
 
@@ -238,9 +233,9 @@ def _cmd_build(args) -> int:
     trace_obj = dict(vars(trace), steps=[vars(s) for s in trace.steps],
                      budgets_ok=trace.budgets_ok(), leaves=tree.leaf_count,
                      depth=tree.depth)
-    _emit(json.dumps(trace_obj, sort_keys=True, indent=2) + "\n",
-          args.out + ".trace.json")
-    # greedy mode has nothing to audit
+    _emit(_render([trace_obj], "json"), args.out + ".trace.json")
+    # build_protocol raised if the audit failed; exact mode is
+    # inconclusive only when its cover search hit the limits.
     return 0 if args.mode != "exact" or cover_value is not None else 2
 
 
@@ -266,9 +261,9 @@ def _cmd_verify(args) -> int:
     cell = first_mismatch(tree, f)
     if cell is not None:
         x, y = cell
-        sys.stderr.write(f"mismatch at ({x}, {y}): protocol "
-                         f"{evaluate(tree, x, y)[0]}, function "
-                         f"{f.f_value(x, y)}\n")
+        value = f.f_value(x, y)  # the protocol outputs the other bit
+        sys.stderr.write(f"mismatch at ({x}, {y}): protocol {1 - value}, "
+                         f"function {value}\n")
         return 1
     _emit(f"verified: {f.rows}x{f.cols}, {tree.leaf_count} leaves, "
           f"depth {tree.depth}\n", args.out)

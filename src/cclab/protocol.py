@@ -252,7 +252,9 @@ def exact_cc(f: BoolFun, caps: SearchLimits | None = None) -> SearchResult:
     interval [root floor, root ceiling].
     """
     meter = Meter(caps or SearchLimits())
-    indicators = ((f.sign < 0).tolist(), (f.sign > 0).tolist())  # M1, M0
+    # Each color's indicator: the floor sums their ranks, so which
+    # color is f = 1 does not matter.
+    indicators = [(f.sign == c).tolist() for c in (1, -1)]
     memo = {}  # (rmask, cmask) -> value
 
     def bounds(rmask, cmask):

@@ -225,12 +225,9 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
       color: no monochromatic rectangle holds both o and z.  The area is
       then at most the largest r * c under that sum and the two caps.
       The matching is greedy: from the last candidate back, each row
-      takes the first free column where its cell has the other color,
-      one whose cell in the row before has this color if it can.  It
-      is built once per node, down to the first child that needs it:
-      one that passes the first test and whose bound at mu =
-      min(|a2|, #cand[i:]), the most any matching gives, is not
-      already above the best area;
+      takes the first free column where its cell has the other color.
+      It is built once per node, down to the first child that passes
+      the first test;
     - at a bound equal to the best area, the child's rows up to y
       against the best's: where they first differ, a best holding that
       row sorts first, and so before every rectangle below the child.
@@ -242,8 +239,7 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
         other = f.masks(-color)[0]
 
         def prune(a, b, cand):
-            held = b.bit_count()
-            base = held + len(cand)
+            base = b.bit_count() + len(cand)
             left = None  # left[j]: the columns of a unmatched to cand[j:]
 
             def skip(i, a2):
@@ -252,22 +248,11 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
                 width = base - i
                 if c * width < best[0]:
                     return True
-                # s = c + width - mu is at least this, as mu <= min(c,
-                # #cand[i:]): above the best here, no matching skips.
-                s = width if width > c + held else c + held
-                h = s >> 1
-                r = s - c if h < s - c else width if h > width else h
-                if r * (s - r) > best[0]:
-                    return False
                 if left is None:  # children come by ascending i
                     left = [0] * len(cand)
                     avail = a
                     for j in range(len(cand) - 1, i - 1, -1):
                         free = avail & other[cand[j]]
-                        # A column the row before holds also counts for
-                        # the child on that row.
-                        if j and free & row_cols[cand[j - 1]]:
-                            free &= row_cols[cand[j - 1]]
                         avail ^= free & -free
                         left[j] = avail
                 s = width + (left[i] & a2).bit_count()

@@ -131,6 +131,31 @@ MUTANTS = (
      "return bool(best[1] & diff & -diff)",
      "return bool((b | 1 << y) & diff & -diff)", CAUGHT,
      "tests/test_rectangles.py::test_max_mono_matches_the_column_side_search"),
+    ("max_rect_area_cap_ties", "src/cclab/rectangles.py",
+     "if c * width < best[0]:", "if c * width <= best[0]:", CAUGHT,
+     "tests/test_rectangles.py::test_max_mono_lexicographic_tie_break"),
+    ("max_rect_matching_all_free", "src/cclab/rectangles.py",
+     "avail ^= free & -free", "avail ^= free", CAUGHT,
+     "tests/test_rectangles.py::test_max_mono_matches_brute_force"),
+    ("cell_count_unraised", "src/cclab/builder.py",
+     '        raise InvariantError("deduplicated cell count exceeds '
+     '2**(2*rank)")\n', "        pass\n", CAUGHT,
+     "tests/test_builder.py::"
+     "test_build_raises_on_a_cell_count_above_its_rank"),
+    ("low_rank_classes_unraised", "src/cclab/builder.py",
+     '            raise InvariantError("low-rank base case with > 16 row '
+     'classes")\n', "            pass\n", CAUGHT,
+     "tests/test_builder.py::"
+     "test_build_raises_on_a_low_rank_base_with_17_row_classes"),
+    ("extract_mono_unraised", "src/cclab/entropy.py",
+     '        raise InvariantError("extracted support is not monochromatic '
+     'in the base")\n', "        pass\n", CAUGHT,
+     "tests/test_entropy.py::"
+     "test_extract_raises_on_a_support_that_is_not_monochromatic"),
+    ("tree_node_unraised", "src/cclab/protocol.py",
+     '        raise StructureError(f"not a tree node: {node!r}")\n',
+     "        pass\n", CAUGHT,
+     "tests/test_protocol.py::test_structure_non_node_is_structure_error"),
     ("cell_cap_boundary", "src/cclab/matrix.py",
      "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
      CAUGHT, "tests/test_cli.py::test_protocol_file_over_cap_is_user_error"),

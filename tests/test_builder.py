@@ -292,7 +292,7 @@ def test_build_raises_on_failed_verification(monkeypatch):
 
 def test_build_raises_on_failed_budget_audit(monkeypatch):
     # ip8 splits at its root, so a rank-step budget of 0 fails the
-    # audit, which runs when the cover value is given.
+    # audit, which runs with or without the cover value.
     import cclab.builder as builder
 
     ip8 = make_family("ip", 8)
@@ -300,7 +300,31 @@ def test_build_raises_on_failed_budget_audit(monkeypatch):
     monkeypatch.setattr(builder, "rank_step_budget", lambda rk: 0)
     with pytest.raises(InvariantError, match="budgets"):
         build_protocol(ip8, 1, cover_value=cover_value)
-    assert build_protocol(ip8, 1)[1].rank_steps > 0  # greedy: no audit
+    with pytest.raises(InvariantError, match="budgets"):
+        build_protocol(ip8, 1)
+
+
+def test_build_raises_on_a_cell_count_above_its_rank(monkeypatch):
+    # A rank-r matrix has at most 2**r distinct rows and columns; eq3
+    # deduplicates to 9 cells, more than 2**(2*1).
+    import cclab.builder as builder
+
+    monkeypatch.setattr(builder, "rank", lambda f: 1)
+    with pytest.raises(InvariantError, match=r"deduplicated cell count "
+                       r"exceeds 2\*\*\(2\*rank\)"):
+        build_protocol(make_family("eq", 3), 1)
+
+
+def test_build_raises_on_a_low_rank_base_with_17_row_classes(monkeypatch):
+    # 17 distinct rows and 15 distinct columns: 255 cells pass the cell
+    # check at rank 4, and the base case finds more than 2**4 rows.
+    import cclab.builder as builder
+
+    f = random_sign(17, 15, 0)
+    monkeypatch.setattr(builder, "rank", lambda g: 4)
+    with pytest.raises(InvariantError,
+                       match="low-rank base case with > 16 row classes"):
+        build_protocol(f, 1)
 
 
 def test_balanced_composition():

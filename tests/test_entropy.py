@@ -111,6 +111,14 @@ def test_extract_size_check_at_its_exact_boundary(monkeypatch):
     assert t == Rectangle((0,), (0,), color=1)
 
 
+def test_extract_raises_on_a_support_that_is_not_monochromatic(
+        monkeypatch):
+    monkeypatch.setattr(entropy, "check_monochromatic", lambda f, r: None)
+    with pytest.raises(InvariantError, match="extracted support is not "
+                       "monochromatic in the base"):
+        extract_rectangle(make_family("eq", 2), 1, Rectangle((0,), (1,)))
+
+
 def test_extract_eq2_exhaustive_over_maximal_rects():
     f = make_family("eq", 2)
     rects = enumerate_maximal_mono(xor_power(f, 2)).rects

@@ -122,6 +122,11 @@ def test_structure_bad_speaker_and_output():
             ProtocolTree(Leaf(output), 2, 2)
 
 
+def test_structure_non_node_is_structure_error():
+    with pytest.raises(StructureError, match="not a tree node: 5"):
+        ProtocolTree(5, 2, 2)
+
+
 def test_structure_deep_chain_is_structure_error():
     # Validation recurses once per level; a chain too deep for it is a
     # malformed tree, not a crash.

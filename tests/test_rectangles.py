@@ -235,6 +235,24 @@ def test_max_mono_skips_tied_maxima(monkeypatch):
     assert r == Rectangle(range(16), range(16, 32), color=1)
 
 
+@pytest.mark.parametrize("name, m, seed, count", [
+    ("ip", 32, None, 4192), ("random", 32, 13, 6486),
+    ("random", 40, 4, 29286), ("eq", 64, None, 34)])
+def test_max_mono_closures_pinned(monkeypatch, name, m, seed, count):
+    # The search's work: a bound that skips fewer subtrees, or a test
+    # that stops being asked, moves these counts.
+    closures = []
+    closure = rectangles._closure
+
+    def counted(*args):
+        closures.append(None)
+        return closure(*args)
+
+    monkeypatch.setattr(rectangles, "_closure", counted)
+    max_mono_rectangle(make_family(name, m, seed=seed))
+    assert len(closures) == count
+
+
 # ----------------------------------------------------------- cover number
 
 def test_cover_constant_is_one():
