@@ -14,10 +14,13 @@ each node branches on the candidates that no other dominates, found by
 testing them maximal-first, once per branch cell and uncovered cells
 within its candidates' reach; a child whose uncovered cells exceed what
 its rectangles left can cover is counted at its parent, not entered).
-Each color's lower bound is its greedy fooling set, until its search
-finishes; the one mask prunes the search and gives the reported lower
-bound.  The answer is a ``limits.SearchResult`` whose cover is a tuple
-of Rectangles in lexicographic order of (row_set, col_set).  One
+Each color's lower bound, until its search finishes, is its floor,
+computed once: the larger of its greedy fooling set's size and Sperner's
+antichain bound on its row and column masks.  The fooling mask prunes
+the search; the floor is the reported lower bound, and an exact search
+ends once its incumbent reaches it.  The answer is a
+``limits.SearchResult`` whose cover is a tuple of Rectangles in
+lexicographic order of (row_set, col_set).  One
 Close-by-One search (Kuznetsov 1993) finds the closed (maximal)
 monochromatic rectangles.  Over the columns it enumerates them all.
 Over the rows it finds a maximum-area one, since every maximum-area
@@ -43,7 +46,9 @@ identical across runs for the same inputs and limits.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -307,6 +312,26 @@ def _fooling_cells(f: BoolFun, color: int) -> int:
     return mask
 
 
+def _antichain_floor(f: BoolFun, color: int) -> int:
+    """Sperner's bound on the cover of one color: the least k with
+    C(k, k // 2) >= w, w the largest number of distinct non-empty row
+    masks of the color that share a bit count, or of column masks.
+
+    A cover gives each row the set of its rectangles that hold it, and
+    the row's mask is the union of their columns, so rows whose masks
+    are incomparable get incomparable sets.  Masks of one bit count are
+    incomparable, and k rectangles give at most C(k, k // 2) pairwise
+    incomparable sets (Sperner 1928); likewise for the columns."""
+    w = 0
+    for masks in f.masks(color):
+        counts = Counter(m.bit_count() for m in set(masks) if m)
+        w = max(w, max(counts.values(), default=0))
+    k = 0
+    while comb(k, k // 2) < w:
+        k += 1
+    return k
+
+
 def fooling_set_bound(f: BoolFun) -> int:
     """The size of a greedy fooling set: cells no two of which fit in
     one monochromatic rectangle, a lower bound on the cover number."""
@@ -394,8 +419,9 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     cover with its greedy value as incumbent; limit exhaustion yields
     BOUNDS, a truncated rectangle universe INCONCLUSIVE (greedy covers
     only), never a wrong exact claim.  Each color's lower bound is its
-    fooling-set count until its search finishes, then its cover's size;
-    ``lower`` is their sum.  The result always carries a cover
+    floor, the larger of its fooling-set count and its antichain bound
+    (``_antichain_floor``), until its search finishes, then its cover's
+    size; ``lower`` is their sum.  The result always carries a cover
     witnessing ``upper``, validated once (InvariantError if it fails)
     and sorted by Rectangle.key.
     """
@@ -413,15 +439,16 @@ def cover_number(f: BoolFun, mode: str = EXACT,
         cells = sum(m << (x * f.cols)
                     for x, m in enumerate(f.masks(color)[0]))
         fooling = _fooling_cells(f, color)
+        floor = max(fooling.bit_count(), _antichain_floor(f, color))
         chosen, extra = _greedy_cover(f, cells, color, cell_masks)
         done = False
         if search:
             chosen, done = _exact_color_cover(cells, cell_masks, chosen,
-                                              fooling, meter)
+                                              fooling, floor, meter)
             exact = exact and done
         cover += [Rectangle(index_bits(a), index_bits(b), color=color)
                   for a, b in [pairs[i] for i in chosen] + extra]
-        lower += len(chosen) if done else fooling.bit_count()
+        lower += len(chosen) if done else floor
 
     cover = tuple(sorted(cover, key=Rectangle.key))
     if not validate_cover(f, cover):
@@ -457,9 +484,16 @@ def _undominated(covs) -> list:
     return kept
 
 
-def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
+def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
+                       meter):
     """Branch-and-bound set cover of one color class by the rectangles
     with the cell masks ``cell_masks``.
+
+    ``floor`` lower-bounds every cover's size, and is at least the
+    count of ``fooling_mask``: the search returns at the root when the
+    incumbent is no larger, and stops as soon as it finds a cover of
+    that size.  The fooling cells drive the per-node prune and the
+    branch order.
 
     A node with uncovered cells U is pruned when its uncovered fooling
     cells, or ceil(|U| / the largest coverage of U), show that it
@@ -501,7 +535,7 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     """
     best_sel = list(incumbent)
     best_size = len(incumbent)
-    if fooling_mask.bit_count() >= best_size:
+    if floor >= best_size:
         return best_sel, True
     try:
         meter.tick()  # the root's visit, before its tables are built
@@ -526,9 +560,9 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
     # (branch cell, U & its reach) -> ([(index, coverage, its size)] of
     # the undominated candidates, the largest size)
     branchings = {}
-    # (floor, scan) of the root and of each narrowing node on the path:
+    # (cut, scan) of the root and of each narrowing node on the path:
     # scan holds, as (area, mask) pairs by descending area, every
-    # rectangle that covers floor cells of that node's uncovered cells.
+    # rectangle that covers cut cells of that node's uncovered cells.
     lists = [(0, [(cell_masks[i].bit_count(), cell_masks[i])
                   for i in by_size])]
 
@@ -536,14 +570,16 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         # Every cell before cell_order[first] is covered, and the
         # caller has ticked the meter for this node.  Unless U is empty,
         # len(chosen) + 2 <= best_size: the search starts only when
-        # best_size exceeds the fooling count, at least 1, and a parent
-        # enters a child with cells left only while left > 0 below.
+        # best_size exceeds the floor, at least the fooling count and so
+        # at least 1, and a parent enters a child with cells left only
+        # while left > 0 below.  A true return ends the search: the
+        # incumbent has reached the floor.
         nonlocal best_sel, best_size
         if uncovered == 0:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_sel = list(chosen)
-            return
+            return best_size == floor
         prev = seen.get(uncovered)
         if prev is not None and prev <= len(chosen):
             return
@@ -598,8 +634,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
         most_any = 0
         if left > 0:
             t_min = -(-(size - most) // left)
-            for floor, scan in reversed(lists):
-                if floor <= t_min:
+            for cut, scan in reversed(lists):
+                if cut <= t_min:
                     break
             narrowed = []
             # A rectangle left out of narrowed covers below t_min cells.
@@ -621,7 +657,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, meter):
             if size - covered > (best_size - len(chosen) - 2) * most_any:
                 continue
             chosen.append(i)
-            rec(uncovered & ~cov, chosen, first + 1)
+            if rec(uncovered & ~cov, chosen, first + 1):
+                return True
             chosen.pop()
         if left > 0:
             lists.pop()

@@ -92,6 +92,12 @@ MUTANTS = (
     ("cover_memo_key_ignores_u", "src/cclab/rectangles.py",
      "key = (cell, within)", "key = cell", CAUGHT,
      "tests/test_rectangles.py::test_cover_bound_stages_decide_alike_on_random"),
+    ("antichain_floor_high", "src/cclab/rectangles.py",
+     "while comb(k, k // 2) < w:", "while comb(k, k // 2) <= w:", CAUGHT,
+     "tests/test_rectangles.py::test_cover_bounds_hold_the_brute_force_cover"),
+    ("antichain_duplicates_counted", "src/cclab/rectangles.py",
+     "for m in set(masks) if m", "for m in masks if m", CAUGHT,
+     "tests/test_rectangles.py::test_cover_bounds_hold_the_brute_force_cover"),
     ("split_rule", "src/cclab/builder.py",
      "if 2 * rank_row <= rk + 3:", "if 2 * rank_row <= rk + 4:", CAUGHT,
      "tests/test_cli.py::test_construction_outputs_pinned"),

@@ -602,7 +602,7 @@ def _reading(reader, tok, tmp_path):
         return ["extract", "--family", "eq", "--m", "4", "--n", "1",
                 "--rect", str(rect)]
     if reader == "limits":
-        return ["measure", "--family", "eq", "--m", "4",
+        return ["measure", "--family", "eq", "--m", "6",
                 "--limits", f"node={tok}"]
     if reader == "measure --m":
         return ["measure", "--family", "eq", "--m", tok]

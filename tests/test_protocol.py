@@ -368,6 +368,7 @@ def test_calls_leave_no_cyclic_garbage():
     # it to find.  The first run fills caches and free lists.
     gt3cube = xor_power(make_family("gt", 3), 3)
     eq6 = make_family("eq", 6)
+    eq8 = make_family("eq", 8)
     r6 = make_family("random", 6, seed=54)
     r16 = make_family("random", 16, seed=1)
     eq3 = make_family("eq", 3)
@@ -375,6 +376,7 @@ def test_calls_leave_no_cyclic_garbage():
         "cover_number gt3^3": lambda: cover_number(
             gt3cube, limits=SearchLimits(node_budget=500, rect_budget=100000)),
         "cover_number eq6": lambda: cover_number(eq6),
+        "cover_number eq8": lambda: cover_number(eq8),
         "exact_cc": lambda: exact_cc(r6),
         "exact_cc node_budget=5": lambda: exact_cc(
             r6, SearchLimits(node_budget=5)),

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -338,7 +339,7 @@ def test_time_budget_cuts_a_real_search(monkeypatch):
             (lambda: exact_cc(make_family("random", 7, seed=29), lim),
              (INTERVAL, 3, 4, 256)),
             (lambda: cover_number(make_family("eq", 8), EXACT, lim),
-             (BOUNDS, 10, 14, 256))):
+             (BOUNDS, 13, 14, 256))):
         reads = iter([0.0])
         monkeypatch.setattr(limits.time, "monotonic",
                             lambda: next(reads, float("inf")))
@@ -351,17 +352,17 @@ def test_cover_search_counts_every_visit():
     # the node counts, budget cuts and covers stay those of a full scan.
     eq8 = make_family("eq", 8)
     res = cover_number(eq8)
-    assert (res.status, res.value, res.nodes) == (EXACT, 13, 36841)
-    cut = cover_number(eq8, limits=SearchLimits(node_budget=36840))
+    assert (res.status, res.value, res.nodes) == (EXACT, 13, 1879)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=1878))
     assert cut.status == BOUNDS
     lift = xor_power(make_family("random", 3, seed=6), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4415)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4402)
     eq4sq = xor_power(make_family("eq", 4), 2)
     res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        BOUNDS, 19, 28, 30002)
+        BOUNDS, 21, 28, 30002)
     gt3cube = xor_power(make_family("gt", 3), 3)
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
@@ -424,16 +425,69 @@ def test_cover_results_pinned():
         digest.update(repr((res.status, res.lower, res.upper, res.nodes,
                             [(r.key(), r.color) for r in res.cover])).encode())
     assert digest.hexdigest() == (
-        "7d1538d0340d1aa4e800cc290c8426c993d7dcd500f87ebdea2e98e1aa43b6b6")
+        "3ad21a74963a1a05d5879f70137aea9ea5777609f0d6695bb1331729a9ec60e9")
+
+
+def test_cover_bounds_hold_the_brute_force_cover():
+    # The floor is a lower bound in every mode: lower <= C(f) <= upper
+    # for greedy covers, exact searches and searches cut at one node, on
+    # 1x1 to 4x5 inputs, some with rows copied over others (repeated
+    # masks count once in the antichain bound) or constant (one color
+    # empty).
+    rng = random.Random(25)
+    for k in range(150):
+        f = random_sign(rng.randint(1, 4), rng.randint(1, 5), 9000 + k)
+        sign = f.sign.copy()
+        if k % 3 == 1:
+            sign[rng.randrange(f.rows)] = sign[rng.randrange(f.rows)]
+        elif k % 6 == 5:
+            sign[:] = rng.choice((1, -1))
+        f = BoolFun(sign)
+        c = brute_min_cover(f)
+        for mode, lim in ((EXACT, None), ("greedy", None),
+                          (EXACT, SearchLimits(node_budget=1))):
+            res = cover_number(f, mode, lim)
+            assert res.lower <= c <= res.upper, (k, mode, lim)
+
+
+def test_cover_of_eq_meets_its_antichain_floor():
+    # C(eq_m) is m for the diagonal plus, for its complement, the least
+    # k with C(k, k // 2) >= m (de Caen, Gregory and Pullman 1981).
+    # Each color's floor meets it: even the greedy lower bound is
+    # C(eq_m), and the exact search stops at the first cover of that
+    # size.
+    for m in range(2, 9):
+        f = make_family("eq", m)
+        k = next(k for k in range(m + 1) if comb(k, k // 2) >= m)
+        res = cover_number(f)
+        assert res.status == EXACT and res.value == m + k
+        assert cover_number(f, mode="greedy").lower == res.value
+        if m <= 4:
+            assert res.value == brute_min_cover(f)
+    assert res.nodes == 1879
+
+
+def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
+    # eq8's node 1,879 completes a cover of 13 = 8 + 5, both colors'
+    # floors: a budget of 1,879 nodes is enough to claim it exact, one
+    # less leaves the interval [13, 14].
+    eq8 = make_family("eq", 8)
+    res = cover_number(eq8, limits=SearchLimits(node_budget=1879))
+    assert (res.status, res.lower, res.upper, res.nodes) == (
+        EXACT, 13, 13, 1879)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=1878))
+    assert (cut.status, cut.lower, cut.upper, cut.nodes) == (
+        BOUNDS, 13, 14, 1879)
 
 
 def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
-                           meter):
+                           floor, meter):
     """The color's cover search with no narrowing: every node tests the
-    coverage bound on the whole size-sorted list of the rectangles."""
+    coverage bound on the whole size-sorted list of the rectangles.  It
+    stops once it holds a cover of ``floor`` rectangles."""
     best_sel = list(incumbent)
     best_size = len(incumbent)
-    if fooling_mask.bit_count() >= best_size:
+    if floor >= best_size:
         return best_sel, True
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
@@ -452,7 +506,7 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_sel = list(chosen)
-            return
+            return best_size == floor
         if len(chosen) + 1 >= best_size:
             return
         prev = seen.get(uncovered)
@@ -475,7 +529,8 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
         covs = [cell_masks[i] & uncovered for i in cands]
         for j in _undominated(covs):
             chosen.append(cands[j])
-            rec(uncovered & ~covs[j], chosen)
+            if rec(uncovered & ~covs[j], chosen):
+                return True
             chosen.pop()
 
     try:
@@ -744,7 +799,7 @@ def test_validate_cover_matches_the_grid_reference():
 
 
 def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
-    def short(universe, cell_masks, incumbent, fooling_mask, meter):
+    def short(universe, cell_masks, incumbent, fooling_mask, floor, meter):
         return incumbent[:-1], True  # eq4's greedy covers are minimal
 
     monkeypatch.setattr(rectangles, "_exact_color_cover", short)
