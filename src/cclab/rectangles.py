@@ -12,8 +12,10 @@ the parent node handed down: the ones that can meet the children's
 thresholds, filtered from the nearest ancestor's list cut low enough;
 each node branches on the candidates that no other dominates, found by
 testing them maximal-first, once per branch cell and uncovered cells
-within its candidates' reach; a child whose uncovered cells exceed what
-its rectangles left can cover is counted at its parent, not entered).
+within its candidates' reach, and enters them by descending coverage of
+its uncovered cells, ties by descending area, then index; a child whose
+uncovered cells exceed what its rectangles left can cover is counted at
+its parent, not entered).
 Each color's lower bound, until its search finishes, is its floor,
 computed once: the larger of its greedy fooling set's size and Sperner's
 antichain bound on its row and column masks.  The fooling mask prunes
@@ -510,21 +512,23 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
     the list of its nearest ancestor cut at a threshold no higher than
     t_min, which holds every such rectangle, since U lies inside that
     ancestor's cells.  A node branches on the rectangles through its
-    first uncovered cell in a fixed order, minus those whose coverage of
-    U is dominated by another's (``_undominated``): the other is always
-    at least as good.
+    first uncovered cell, minus those whose coverage of U is dominated
+    by another's (``_undominated``): the other is always at least as
+    good.  It enters them by descending coverage of U, ties by
+    descending area, then index, so the first path down takes the
+    biggest bites and meets a floor-size cover early.
 
     Each branch cell c has a reach, the cells its candidates cover, and
     a memo keyed by (c, U & reach), at most 100,000 entries, freed on
     return: a candidate's coverage of U is its coverage of U & reach,
     so a node that finds its key there reuses the undominated
-    candidates, their coverages and the largest size.  A node also tests
-    each child before entering it.  With best_size - depth - 2
-    rectangles left to the child, each covering at most the largest
-    coverage of U, a child with more uncovered cells than those cover
-    cannot beat the incumbent and has no children.  It is counted as a
-    visit but not entered, so node counts, budget cuts and covers stay
-    those of a search that enters it and prunes it there.  Only the
+    candidates in their order, their coverages and the largest size.  A
+    node also tests each child before entering it.  With best_size -
+    depth - 2 rectangles left to the child, each covering at most the
+    largest coverage of U, a child with more uncovered cells than those
+    cover cannot beat the incumbent and has no children.  It is counted
+    as a visit but not entered, so node counts, budget cuts and covers
+    stay those of a search that enters it and prunes it there.  Only the
     ``seen`` table misses the child's entry, which changes a count only
     once ``seen`` reaches its cap of 1,000,000 masks, under a budget of
     over 1,000,000 nodes.
@@ -620,7 +624,10 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
             covs = [cell_masks[i] & within for i in cands]
             kept = [(cands[j], covs[j], covs[j].bit_count())
                     for j in _undominated(covs)]
-            branching = kept, max(k[2] for k in kept)
+            # Children by descending coverage; sort is stable, so equal
+            # ones keep the candidates' order.
+            kept.sort(key=lambda k: -k[2])
+            branching = kept, kept[0][2]
             if len(branchings) < 100_000:
                 branchings[key] = branching
         kept, most = branching

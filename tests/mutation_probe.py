@@ -11,7 +11,7 @@ the suite does not catch is a survivor.
     python tests/mutation_probe.py            # every mutant
     python tests/mutation_probe.py cover_lower split_side_order
 
-A copy whose suite passes takes the full tier-1 time (about 40 s on a
+A copy whose suite passes takes the full tier-1 time (about 20 s on a
 2-vCPU machine).  The exit code is 0 when every outcome is the one
 listed below (a mutant listed as caught fails its listed test, any
 case of it if it is parametrized; the others pass the suite), 1
@@ -191,6 +191,24 @@ MUTANTS = (
      "(node.child0, level + 1), f',\\n{pad}\"child1\": ',\n"
      "                  (node.child1, level + 1))", CAUGHT,
      "tests/test_protocol.py::test_format_tree_is_json_dumps"),
+    ("cover_children_by_index", "src/cclab/rectangles.py",
+     "            kept.sort(key=lambda k: -k[2])\n"
+     "            branching = kept, kept[0][2]\n",
+     "            branching = kept, max(k[2] for k in kept)\n", CAUGHT,
+     "tests/test_rectangles.py::test_cover_of_eq_reaches_its_floor_fast"),
+    ("cover_children_ascending", "src/cclab/rectangles.py",
+     "            kept.sort(key=lambda k: -k[2])\n"
+     "            branching = kept, kept[0][2]\n",
+     "            kept.sort(key=lambda k: k[2])\n"
+     "            branching = kept, kept[-1][2]\n", CAUGHT,
+     "tests/test_rectangles.py::test_cover_of_eq_reaches_its_floor_fast"),
+    ("cover_fooling_prune_strict", "src/cclab/rectangles.py",
+     "(fooling_mask & uncovered).bit_count() >= best_size:",
+     "(fooling_mask & uncovered).bit_count() > best_size:", EQUIVALENT,
+     "the prune never fires: while a fooling cell is uncovered the branch "
+     "cell is one, and a rectangle holds at most one, so len(chosen) plus "
+     "the uncovered fooling cells is the color's fooling count, at most "
+     "its floor and so below best_size while the search runs"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

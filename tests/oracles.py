@@ -138,41 +138,52 @@ def brute_min_cover(f: BoolFun) -> int:
 
 
 def brute_cc(f: BoolFun) -> int:
-    """D(f) by plain min-max recursion over submatrix pairs."""
-    sign = f.sign
+    """D(f) by plain min-max recursion over submatrix pairs.
+
+    A submatrix is a (row mask, column mask) pair, memoised as one.  Row
+    x of ``neg`` is the mask of its columns where f has sign -1, packed
+    here cell by cell."""
+    neg = [sum(1 << y for y in range(f.cols) if f.sign[x, y] < 0)
+           for x in range(f.rows)]
     memo = {}
 
-    def const(rows, cols):
-        v = sign[rows[0], cols[0]]
-        return all(sign[x, y] == v for x in rows for y in cols)
+    def const(rmask, cmask):
+        x = (rmask & -rmask).bit_length() - 1
+        v = neg[x] & cmask
+        if v and v != cmask:
+            return False
+        while rmask:
+            x = (rmask & -rmask).bit_length() - 1
+            if neg[x] & cmask != v:
+                return False
+            rmask &= rmask - 1
+        return True
 
-    def go(rows, cols):
-        if const(rows, cols):
-            return 0
-        key = (rows, cols)
+    def splits(mask):
+        # Every split of mask into two non-empty halves, once each: the
+        # half p holds the lowest bit, q the rest.
+        low = mask & -mask
+        others = mask ^ low
+        s = others
+        while s:
+            s = (s - 1) & others
+            yield low | s, others ^ s
+
+    def go(rmask, cmask):
+        key = (rmask, cmask)
         if key in memo:
             return memo[key]
-        best = None
-        if len(rows) > 1:
-            others = rows[1:]
-            for mask in range(2 ** len(others) - 1):
-                p = (rows[0],) + tuple(o for i, o in enumerate(others)
-                                       if mask >> i & 1)
-                q = tuple(r for r in rows if r not in p)
-                d = 1 + max(go(p, cols), go(q, cols))
-                best = d if best is None else min(best, d)
-        if len(cols) > 1:
-            others = cols[1:]
-            for mask in range(2 ** len(others) - 1):
-                p = (cols[0],) + tuple(o for i, o in enumerate(others)
-                                       if mask >> i & 1)
-                q = tuple(c for c in cols if c not in p)
-                d = 1 + max(go(rows, p), go(rows, q))
-                best = d if best is None else min(best, d)
+        if const(rmask, cmask):
+            best = 0
+        else:
+            best = min([1 + max(go(p, cmask), go(q, cmask))
+                        for p, q in splits(rmask)]
+                       + [1 + max(go(rmask, p), go(rmask, q))
+                          for p, q in splits(cmask)])
         memo[key] = best
         return best
 
-    return go(tuple(range(f.rows)), tuple(range(f.cols)))
+    return go((1 << f.rows) - 1, (1 << f.cols) - 1)
 
 
 def random_sign(rows: int, cols: int, seed: int) -> BoolFun:

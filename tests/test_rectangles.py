@@ -335,7 +335,7 @@ def test_time_budget_cuts_a_real_search(monkeypatch):
     lim = SearchLimits(time_budget_ms=1, node_budget=10 ** 9)
     for search, want in (
             (lambda: cover_number(xor_power(make_family("gt", 3), 3),
-                                  EXACT, lim), (BOUNDS, 19, 57, 512)),
+                                  EXACT, lim), (BOUNDS, 19, 58, 512)),
             (lambda: exact_cc(make_family("random", 7, seed=29), lim),
              (INTERVAL, 3, 4, 256)),
             (lambda: cover_number(make_family("eq", 8), EXACT, lim),
@@ -352,12 +352,12 @@ def test_cover_search_counts_every_visit():
     # the node counts, budget cuts and covers stay those of a full scan.
     eq8 = make_family("eq", 8)
     res = cover_number(eq8)
-    assert (res.status, res.value, res.nodes) == (EXACT, 13, 1879)
-    cut = cover_number(eq8, limits=SearchLimits(node_budget=1878))
+    assert (res.status, res.value, res.nodes) == (EXACT, 13, 388)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=387))
     assert cut.status == BOUNDS
     lift = xor_power(make_family("random", 3, seed=6), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4402)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4403)
     eq4sq = xor_power(make_family("eq", 4), 2)
     res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
@@ -367,17 +367,17 @@ def test_cover_search_counts_every_visit():
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        BOUNDS, 19, 57, 3002)
+        BOUNDS, 19, 58, 3002)
     keys = repr([r.key() for r in res.cover]).encode()
     assert hashlib.sha256(keys).hexdigest() == (
-        "6f4600b63e5474557b9690f1c54f2b1445274194c0d289b24eaad177518a3244")
+        "faaf1004edc9304bca38e5d1bd7aa98c5305cfd10cc3b906df3e2312bb3e5bbf")
     # A node filters the nearest list cut at a threshold no higher than
     # its own.  Filtering its parent's list whatever its cut, or keeping
     # only the rectangles above the threshold, drops rectangles a node
     # needs, and seed 12 then claims an exact 17 or 18.
     lift = xor_power(make_family("random", 3, seed=12), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 19022)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 19020)
     lift = xor_power(make_family("random", 4, seed=27), 2)
     res = cover_number(lift, limits=SearchLimits(node_budget=3000,
                                                  rect_budget=100000))
@@ -386,7 +386,7 @@ def test_cover_search_counts_every_visit():
 
 
 def test_cover_search_filters_each_branching_once(monkeypatch):
-    # gt4^2 branches 14,348 times at this budget, on 1,208 distinct
+    # gt4^2 branches 15,100 times at this budget, on 1,657 distinct
     # (branch cell, uncovered cells within its candidates' reach): the
     # dominance filter runs once for each.
     calls = []
@@ -401,7 +401,7 @@ def test_cover_search_filters_each_branching_once(monkeypatch):
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 16, 29, 30002)
-    assert len(calls) == 1208
+    assert len(calls) == 1657
 
 
 def test_cover_results_pinned():
@@ -425,7 +425,7 @@ def test_cover_results_pinned():
         digest.update(repr((res.status, res.lower, res.upper, res.nodes,
                             [(r.key(), r.color) for r in res.cover])).encode())
     assert digest.hexdigest() == (
-        "3ad21a74963a1a05d5879f70137aea9ea5777609f0d6695bb1331729a9ec60e9")
+        "a2a50f3499d331476b53a706036e74ccb98a2ad23820306e6b9ab7bf92bc8d1e")
 
 
 def test_cover_bounds_hold_the_brute_force_cover():
@@ -464,20 +464,30 @@ def test_cover_of_eq_meets_its_antichain_floor():
         assert cover_number(f, mode="greedy").lower == res.value
         if m <= 4:
             assert res.value == brute_min_cover(f)
-    assert res.nodes == 1879
+    assert res.nodes == 388
+
+
+def test_cover_of_eq_reaches_its_floor_fast():
+    # A node enters its children by descending coverage of its uncovered
+    # cells, so the search finds a floor-size cover early: eq8 in 388
+    # nodes and eq9 in 10,165.  Entered in the candidates' order (by
+    # area), they take 1,879 and 127,177.
+    for m, value, nodes in ((8, 13, 388), (9, 14, 10165)):
+        res = cover_number(make_family("eq", m))
+        assert (res.status, res.value, res.nodes) == (EXACT, value, nodes)
 
 
 def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
-    # eq8's node 1,879 completes a cover of 13 = 8 + 5, both colors'
-    # floors: a budget of 1,879 nodes is enough to claim it exact, one
+    # eq8's node 388 completes a cover of 13 = 8 + 5, both colors'
+    # floors: a budget of 388 nodes is enough to claim it exact, one
     # less leaves the interval [13, 14].
     eq8 = make_family("eq", 8)
-    res = cover_number(eq8, limits=SearchLimits(node_budget=1879))
+    res = cover_number(eq8, limits=SearchLimits(node_budget=388))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        EXACT, 13, 13, 1879)
-    cut = cover_number(eq8, limits=SearchLimits(node_budget=1878))
+        EXACT, 13, 13, 388)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=387))
     assert (cut.status, cut.lower, cut.upper, cut.nodes) == (
-        BOUNDS, 13, 14, 1879)
+        BOUNDS, 13, 14, 388)
 
 
 def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
@@ -527,7 +537,8 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
         cands = cand_by_cell[next(c for c in cell_order
                                   if uncovered >> c & 1)]
         covs = [cell_masks[i] & uncovered for i in cands]
-        for j in _undominated(covs):
+        kept = sorted(_undominated(covs), key=lambda j: -covs[j].bit_count())
+        for j in kept:
             chosen.append(cands[j])
             if rec(uncovered & ~covs[j], chosen):
                 return True
@@ -576,7 +587,7 @@ def test_cover_bound_stages_decide_alike(head, monkeypatch):
     monkeypatch.setattr(rectangles, "_exact_color_cover",
                         _full_scan_color_cover)
     want = [cover_number(f, limits=lim) for f, lim in cases]
-    assert want[2].nodes == 21077
+    assert want[2].nodes == 20989
     assert got == want
 
 
