@@ -10,19 +10,19 @@ incumbent; the coverage bound tested as a threshold on the rectangles
 sorted by size, at the root over all of them and below it over those
 the parent node handed down: the ones that can meet the children's
 thresholds, filtered from the nearest ancestor's list cut low enough;
-each node branches on the candidates that no other dominates, found by
-testing them maximal-first, once per branch cell and uncovered cells
-within its candidates' reach, and enters them by descending coverage of
-its uncovered cells, ties by descending area, then index; a child whose
+each node branches, at the uncovered cell that the fewest rectangles
+hold, on the candidates that no other dominates, found by testing them
+maximal-first, once per branch cell and uncovered cells within its
+candidates' reach, and enters them by descending coverage of its
+uncovered cells, ties by descending area, then index; a child whose
 uncovered cells exceed what its rectangles left can cover is counted at
 its parent, not entered).
 Each color's lower bound, until its search finishes, is its floor,
 computed once: the larger of its greedy fooling set's size and Sperner's
-antichain bound on its row and column masks.  The fooling mask prunes
-the search; the floor is the reported lower bound, and an exact search
-ends once its incumbent reaches it.  The answer is a
-``limits.SearchResult`` whose cover is a tuple of Rectangles in
-lexicographic order of (row_set, col_set).  One
+antichain bound on its row and column masks.  The floor is the
+reported lower bound, and an exact search ends once its incumbent
+reaches it.  The answer is a ``limits.SearchResult`` whose cover is a
+tuple of Rectangles in lexicographic order of (row_set, col_set).  One
 Close-by-One search (Kuznetsov 1993) finds the closed (maximal)
 monochromatic rectangles.  Over the columns it enumerates them all.
 Over the rows it finds a maximum-area one, since every maximum-area
@@ -440,13 +440,13 @@ def cover_number(f: BoolFun, mode: str = EXACT,
         cell_masks = [_grid_mask(a, b, f.cols) for a, b in pairs]
         cells = sum(m << (x * f.cols)
                     for x, m in enumerate(f.masks(color)[0]))
-        fooling = _fooling_cells(f, color)
-        floor = max(fooling.bit_count(), _antichain_floor(f, color))
+        floor = max(_fooling_cells(f, color).bit_count(),
+                    _antichain_floor(f, color))
         chosen, extra = _greedy_cover(f, cells, color, cell_masks)
         done = False
         if search:
             chosen, done = _exact_color_cover(cells, cell_masks, chosen,
-                                              fooling, floor, meter)
+                                              floor, meter)
             exact = exact and done
         cover += [Rectangle(index_bits(a), index_bits(b), color=color)
                   for a, b in [pairs[i] for i in chosen] + extra]
@@ -486,35 +486,34 @@ def _undominated(covs) -> list:
     return kept
 
 
-def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
-                       meter):
+def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
     """Branch-and-bound set cover of one color class by the rectangles
     with the cell masks ``cell_masks``.
 
-    ``floor`` lower-bounds every cover's size, and is at least the
-    count of ``fooling_mask``: the search returns at the root when the
+    ``floor`` lower-bounds every cover's size, and is at least 1 when
+    ``universe`` has cells: the search returns at the root when the
     incumbent is no larger, and stops as soon as it finds a cover of
-    that size.  The fooling cells drive the per-node prune and the
-    branch order.
+    that size.
 
-    A node with uncovered cells U is pruned when its uncovered fooling
-    cells, or ceil(|U| / the largest coverage of U), show that it
-    cannot beat the incumbent.  The coverage bound is tested as a
-    threshold t on the rectangles sorted by descending size: a
-    rectangle covers at most its area, so only the prefix of area >= t
-    can reach t.  A node reads the list its parent handed down and
-    stops at the first rectangle that covers t cells of U or is too
-    small to.  The root reads all of them.  A node hands its children
-    only those that cover at least t_min cells of U, t_min the least
-    threshold a child can have: the incumbent only falls, so a child's
-    t at its visit is at least the one its parent computes, and a
-    rectangle covers no more of a child's cells than of U.  It filters
+    A node with uncovered cells U is pruned when ceil(|U| / the largest
+    coverage of U) shows that it cannot beat the incumbent.  The
+    coverage bound is tested as a threshold t on the rectangles sorted
+    by descending size: a rectangle covers at most its area, so only the
+    prefix of area >= t can reach t.  A node reads the list its parent
+    handed down and stops at the first rectangle that covers t cells of
+    U or is too small to.  The root reads all of them.  A node hands its
+    children only those that cover at least t_min cells of U, t_min the
+    least threshold a child can have: the incumbent only falls, so a
+    child's t at its visit is at least the one its parent computes, and
+    a rectangle covers no more of a child's cells than of U.  It filters
     the list of its nearest ancestor cut at a threshold no higher than
     t_min, which holds every such rectangle, since U lies inside that
     ancestor's cells.  A node branches on the rectangles through its
-    first uncovered cell, minus those whose coverage of U is dominated
-    by another's (``_undominated``): the other is always at least as
-    good.  It enters them by descending coverage of U, ties by
+    first uncovered cell in a fixed order, the cells that the fewest
+    rectangles hold first, ties by index (the fewest-options rule of
+    Knuth's "Dancing Links"), minus those whose coverage of U is
+    dominated by another's (``_undominated``): the other is always at
+    least as good.  It enters them by descending coverage of U, ties by
     descending area, then index, so the first path down takes the
     biggest bites and meets a floor-size cover early.
 
@@ -555,10 +554,8 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
     for i in by_size:
         for cell in index_bits(cell_masks[i]):
             cand_by_cell[cell].append(i)
-    # Branch on fooling cells first (they pin distinct rectangles), then
-    # scarce cells.
-    cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
-                                              len(cand_by_cell[c]), c))
+    # Branch on the cells with the fewest candidates first.
+    cell_order = sorted(cells, key=lambda c: (len(cand_by_cell[c]), c))
     seen = {}  # uncovered mask -> fewest rectangles used to reach it
     reach = {}  # branch cell -> the cells its candidates cover
     # (branch cell, U & its reach) -> ([(index, coverage, its size)] of
@@ -574,10 +571,9 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
         # Every cell before cell_order[first] is covered, and the
         # caller has ticked the meter for this node.  Unless U is empty,
         # len(chosen) + 2 <= best_size: the search starts only when
-        # best_size exceeds the floor, at least the fooling count and so
-        # at least 1, and a parent enters a child with cells left only
-        # while left > 0 below.  A true return ends the search: the
-        # incumbent has reached the floor.
+        # best_size exceeds the floor, at least 1, and a parent enters a
+        # child with cells left only while left > 0 below.  A true
+        # return ends the search: the incumbent has reached the floor.
         nonlocal best_sel, best_size
         if uncovered == 0:
             if len(chosen) < best_size:
@@ -589,9 +585,6 @@ def _exact_color_cover(universe, cell_masks, incumbent, fooling_mask, floor,
             return
         if len(seen) < 1_000_000:
             seen[uncovered] = len(chosen)
-        # Uncovered fooling cells each need their own rectangle.
-        if len(chosen) + (fooling_mask & uncovered).bit_count() >= best_size:
-            return
         # With k = best_size - len(chosen) >= 2 rectangles left to beat
         # the incumbent, ceil(|U| / maxcov) >= k exactly when no
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A

@@ -195,20 +195,17 @@ MUTANTS = (
      "            kept.sort(key=lambda k: -k[2])\n"
      "            branching = kept, kept[0][2]\n",
      "            branching = kept, max(k[2] for k in kept)\n", CAUGHT,
-     "tests/test_rectangles.py::test_cover_of_eq_reaches_its_floor_fast"),
+     "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_children_ascending", "src/cclab/rectangles.py",
      "            kept.sort(key=lambda k: -k[2])\n"
      "            branching = kept, kept[0][2]\n",
      "            kept.sort(key=lambda k: k[2])\n"
      "            branching = kept, kept[-1][2]\n", CAUGHT,
-     "tests/test_rectangles.py::test_cover_of_eq_reaches_its_floor_fast"),
-    ("cover_fooling_prune_strict", "src/cclab/rectangles.py",
-     "(fooling_mask & uncovered).bit_count() >= best_size:",
-     "(fooling_mask & uncovered).bit_count() > best_size:", EQUIVALENT,
-     "the prune never fires: while a fooling cell is uncovered the branch "
-     "cell is one, and a rectangle holds at most one, so len(chosen) plus "
-     "the uncovered fooling cells is the color's fooling count, at most "
-     "its floor and so below best_size while the search runs"),
+     "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
+    ("cover_branch_cells_crowded_first", "src/cclab/rectangles.py",
+     "key=lambda c: (len(cand_by_cell[c]), c))",
+     "key=lambda c: (-len(cand_by_cell[c]), c))", CAUGHT,
+     "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

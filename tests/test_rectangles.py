@@ -331,15 +331,15 @@ def test_time_budget_cuts_a_real_search(monkeypatch):
     # The clock passes the deadline right after Meter reads it, so each
     # search stops at its first clock read: at most 256 nodes past the
     # deadline, the stated slack of ms=.  gt3^(+3)'s cover searches both
-    # colors, 256 nodes each.
+    # colors, 256 nodes each; eq9's searches one.
     lim = SearchLimits(time_budget_ms=1, node_budget=10 ** 9)
     for search, want in (
             (lambda: cover_number(xor_power(make_family("gt", 3), 3),
-                                  EXACT, lim), (BOUNDS, 19, 58, 512)),
+                                  EXACT, lim), (BOUNDS, 19, 57, 512)),
             (lambda: exact_cc(make_family("random", 7, seed=29), lim),
              (INTERVAL, 3, 4, 256)),
-            (lambda: cover_number(make_family("eq", 8), EXACT, lim),
-             (BOUNDS, 13, 14, 256))):
+            (lambda: cover_number(make_family("eq", 9), EXACT, lim),
+             (BOUNDS, 14, 15, 256))):
         reads = iter([0.0])
         monkeypatch.setattr(limits.time, "monotonic",
                             lambda: next(reads, float("inf")))
@@ -352,12 +352,12 @@ def test_cover_search_counts_every_visit():
     # the node counts, budget cuts and covers stay those of a full scan.
     eq8 = make_family("eq", 8)
     res = cover_number(eq8)
-    assert (res.status, res.value, res.nodes) == (EXACT, 13, 388)
-    cut = cover_number(eq8, limits=SearchLimits(node_budget=387))
+    assert (res.status, res.value, res.nodes) == (EXACT, 13, 7)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=6))
     assert cut.status == BOUNDS
     lift = xor_power(make_family("random", 3, seed=6), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 4403)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 880)
     eq4sq = xor_power(make_family("eq", 4), 2)
     res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
@@ -367,17 +367,17 @@ def test_cover_search_counts_every_visit():
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        BOUNDS, 19, 58, 3002)
+        BOUNDS, 19, 56, 3002)
     keys = repr([r.key() for r in res.cover]).encode()
     assert hashlib.sha256(keys).hexdigest() == (
-        "faaf1004edc9304bca38e5d1bd7aa98c5305cfd10cc3b906df3e2312bb3e5bbf")
+        "0da479c92a218aacd40ac98d2a5a2eb37e31e7b66e1fe18864ec63db9ffe50f5")
     # A node filters the nearest list cut at a threshold no higher than
     # its own.  Filtering its parent's list whatever its cut, or keeping
     # only the rectangles above the threshold, drops rectangles a node
     # needs, and seed 12 then claims an exact 17 or 18.
     lift = xor_power(make_family("random", 3, seed=12), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 19020)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 5587)
     lift = xor_power(make_family("random", 4, seed=27), 2)
     res = cover_number(lift, limits=SearchLimits(node_budget=3000,
                                                  rect_budget=100000))
@@ -386,7 +386,7 @@ def test_cover_search_counts_every_visit():
 
 
 def test_cover_search_filters_each_branching_once(monkeypatch):
-    # gt4^2 branches 15,100 times at this budget, on 1,657 distinct
+    # gt4^2 branches 9,429 times at this budget, on 1,386 distinct
     # (branch cell, uncovered cells within its candidates' reach): the
     # dominance filter runs once for each.
     calls = []
@@ -400,8 +400,8 @@ def test_cover_search_filters_each_branching_once(monkeypatch):
     res = cover_number(gt4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        BOUNDS, 16, 29, 30002)
-    assert len(calls) == 1657
+        BOUNDS, 16, 28, 30002)
+    assert len(calls) == 1386
 
 
 def test_cover_results_pinned():
@@ -425,7 +425,7 @@ def test_cover_results_pinned():
         digest.update(repr((res.status, res.lower, res.upper, res.nodes,
                             [(r.key(), r.color) for r in res.cover])).encode())
     assert digest.hexdigest() == (
-        "a2a50f3499d331476b53a706036e74ccb98a2ad23820306e6b9ab7bf92bc8d1e")
+        "25484acb2f58ea74b4c20bf437354610dd33d588c3c1bb63c6b18a8679b2e277")
 
 
 def test_cover_bounds_hold_the_brute_force_cover():
@@ -464,34 +464,35 @@ def test_cover_of_eq_meets_its_antichain_floor():
         assert cover_number(f, mode="greedy").lower == res.value
         if m <= 4:
             assert res.value == brute_min_cover(f)
-    assert res.nodes == 388
+    assert res.nodes == 7
 
 
-def test_cover_of_eq_reaches_its_floor_fast():
-    # A node enters its children by descending coverage of its uncovered
-    # cells, so the search finds a floor-size cover early: eq8 in 388
-    # nodes and eq9 in 10,165.  Entered in the candidates' order (by
-    # area), they take 1,879 and 127,177.
-    for m, value, nodes in ((8, 13, 388), (9, 14, 10165)):
-        res = cover_number(make_family("eq", m))
+def test_cover_search_ends_in_few_nodes():
+    # A node branches on its uncovered cell that the fewest rectangles
+    # hold and enters the children by descending coverage of its
+    # uncovered cells: eq8 and eq9 reach their floors in 7 and 5,455
+    # nodes, and random 10x10 seed 0 proves its 18 (floor 13) in 1,256.
+    for f, value, nodes in ((make_family("eq", 8), 13, 7),
+                            (make_family("eq", 9), 14, 5455),
+                            (make_family("random", 10, seed=0), 18, 1256)):
+        res = cover_number(f)
         assert (res.status, res.value, res.nodes) == (EXACT, value, nodes)
 
 
 def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
-    # eq8's node 388 completes a cover of 13 = 8 + 5, both colors'
-    # floors: a budget of 388 nodes is enough to claim it exact, one
+    # eq8's node 7 completes a cover of 13 = 8 + 5, both colors'
+    # floors: a budget of 7 nodes is enough to claim it exact, one
     # less leaves the interval [13, 14].
     eq8 = make_family("eq", 8)
-    res = cover_number(eq8, limits=SearchLimits(node_budget=388))
+    res = cover_number(eq8, limits=SearchLimits(node_budget=7))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        EXACT, 13, 13, 388)
-    cut = cover_number(eq8, limits=SearchLimits(node_budget=387))
+        EXACT, 13, 13, 7)
+    cut = cover_number(eq8, limits=SearchLimits(node_budget=6))
     assert (cut.status, cut.lower, cut.upper, cut.nodes) == (
-        BOUNDS, 13, 14, 388)
+        BOUNDS, 13, 14, 7)
 
 
-def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
-                           floor, meter):
+def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
     """The color's cover search with no narrowing: every node tests the
     coverage bound on the whole size-sorted list of the rectangles.  It
     stops once it holds a cover of ``floor`` rectangles."""
@@ -505,8 +506,7 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
     cells = [c for c in range(universe.bit_length()) if universe >> c & 1]
     cand_by_cell = {c: [i for i in by_size if cell_masks[i] >> c & 1]
                     for c in cells}
-    cell_order = sorted(cells, key=lambda c: (not (fooling_mask >> c & 1),
-                                              len(cand_by_cell[c]), c))
+    cell_order = sorted(cells, key=lambda c: (len(cand_by_cell[c]), c))
     seen = {}
 
     def rec(uncovered, chosen):
@@ -524,8 +524,6 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, fooling_mask,
             return
         if len(seen) < 1_000_000:
             seen[uncovered] = len(chosen)
-        if len(chosen) + (fooling_mask & uncovered).bit_count() >= best_size:
-            return
         t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
         for area, m in sized:
             if area < t:
@@ -587,7 +585,7 @@ def test_cover_bound_stages_decide_alike(head, monkeypatch):
     monkeypatch.setattr(rectangles, "_exact_color_cover",
                         _full_scan_color_cover)
     want = [cover_number(f, limits=lim) for f, lim in cases]
-    assert want[2].nodes == 20989
+    assert want[2].nodes == 4470
     assert got == want
 
 
@@ -810,7 +808,7 @@ def test_validate_cover_matches_the_grid_reference():
 
 
 def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
-    def short(universe, cell_masks, incumbent, fooling_mask, floor, meter):
+    def short(universe, cell_masks, incumbent, floor, meter):
         return incumbent[:-1], True  # eq4's greedy covers are minimal
 
     monkeypatch.setattr(rectangles, "_exact_color_cover", short)
