@@ -153,6 +153,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_field(v) -> str:
+    """v as a CSV field, quoted with each quote doubled if it holds a
+    comma, a quote or a line break (RFC 4180)."""
+    s = _fmt(v)
+    return '"' + s.replace('"', '""') + '"' if set(',"\r\n') & set(s) else s
+
+
 def _render(rows, fmt) -> str:
     """rows (dicts with the same keys, in column order) as fmt."""
     if fmt == "json":
@@ -161,7 +168,7 @@ def _render(rows, fmt) -> str:
     columns = list(rows[0])
     if fmt == "csv":
         lines = ["#v1 " + ",".join(columns)]
-        lines += [",".join(_fmt(r[c]) for c in columns) for r in rows]
+        lines += [",".join(_csv_field(r[c]) for c in columns) for r in rows]
         return "\n".join(lines) + "\n"
     blocks = []
     for r in rows:

@@ -328,16 +328,16 @@ def parse_bfn(text: str) -> BoolFun:
             else:
                 raise ParseError(f"bad character {ch!r}, expected 0 or 1",
                                  2 + i, j + 1)
-    label = ""
+    label = None  # one optional label line
     for k in range(1 + rows, len(lines)):
         ln = lines[k]
         if not ln.strip():
             continue
-        if ln.startswith("#"):
+        if ln.startswith("#") and label is None:
             label = ln[1:].strip()
         else:
             raise ParseError("unexpected trailing content", k + 1, 1)
-    return BoolFun(data, label=label)
+    return BoolFun(data, label=label or "")
 
 
 def format_bfn(f: BoolFun) -> str:

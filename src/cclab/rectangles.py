@@ -10,13 +10,14 @@ incumbent; the coverage bound tested as a threshold on the rectangles
 sorted by size, at the root over all of them and below it over those
 the parent node handed down: the ones that can meet the children's
 thresholds, filtered from the nearest ancestor's list cut low enough;
-each node branches, at the uncovered cell that the fewest rectangles
-hold, on the candidates that no other dominates, found by testing them
-maximal-first, once per branch cell and uncovered cells within its
-candidates' reach, and enters them by descending coverage of its
-uncovered cells, ties by descending area, then index; a child whose
-uncovered cells exceed what its rectangles left can cover is counted at
-its parent, not entered).
+the color's cells are numbered in branching order, the cells that the
+fewest rectangles hold first, so each node branches at its lowest
+uncovered bit, on the candidates that no other dominates, found by
+testing them maximal-first, once per set of uncovered cells within the
+candidates' reach, and enters them in that order: by descending
+coverage of its uncovered cells, ties by descending area, then index;
+a child whose uncovered cells exceed what its rectangles left can cover
+is counted at its parent, not entered).
 Each color's lower bound, until its search finishes, is its floor,
 computed once: the larger of its greedy fooling set's size and Sperner's
 antichain bound on its row and column masks.  The floor is the
@@ -35,8 +36,9 @@ Masks inside, Rectangles at the boundary: the searches read each
 color's Python integer bitmasks from ``BoolFun.masks(color)``, so no
 search knows which sign is f = 1, and handle a rectangle as its (row
 mask, col mask) pair, in the set cover also as its cell mask (bit x *
-cols + y).  Only what a caller sees, the enumerated rectangles and
-the chosen cover, becomes Rectangles of sorted index tuples.
+cols + y, renumbered inside the exact search).  Only what a caller
+sees, the enumerated rectangles and the chosen cover, becomes
+Rectangles of sorted index tuples.
 ``validate_cover`` shares none of the search's masks: it packs the
 signs into row masks of its own, checks each rectangle row by row
 against them and ORs its columns into each of its rows' coverage.
@@ -50,7 +52,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 
 import numpy as np
 
@@ -461,14 +465,15 @@ def cover_number(f: BoolFun, mode: str = EXACT,
 
 
 def _undominated(covs) -> list:
-    """Indices of the coverages ``covs`` that no other one dominates, in
-    ascending order.  Mask j dominates mask i when i's cells lie inside
-    j's and the two differ, or are equal with j < i.
+    """(index, mask, size) of each of the coverages ``covs`` that no
+    other one dominates, by size, descending, ties by index.  Mask j
+    dominates mask i when i's cells lie inside j's and the two differ,
+    or are equal with j < i.
 
     Domination is transitive, so a dominated mask lies inside some
     undominated one; and a dominator is at least as large, earlier on
-    equal masks.  Visiting the masks by size, descending, ties by index,
-    each is therefore tested only against the undominated ones so far.
+    equal masks.  Visiting the masks in the order returned, each is
+    therefore tested only against the undominated ones so far.
     """
     kept = []
     kept_masks = []
@@ -480,9 +485,8 @@ def _undominated(covs) -> list:
             if c | m == m:
                 break
         else:
-            kept.append(i)
+            kept.append((i, c, -neg_sizes[i]))
             kept_masks.append(c)
-    kept.sort()
     return kept
 
 
@@ -508,20 +512,19 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
     a rectangle covers no more of a child's cells than of U.  It filters
     the list of its nearest ancestor cut at a threshold no higher than
     t_min, which holds every such rectangle, since U lies inside that
-    ancestor's cells.  A node branches on the rectangles through its
-    first uncovered cell in a fixed order, the cells that the fewest
-    rectangles hold first, ties by index (the fewest-options rule of
-    Knuth's "Dancing Links"), minus those whose coverage of U is
-    dominated by another's (``_undominated``): the other is always at
-    least as good.  It enters them by descending coverage of U, ties by
-    descending area, then index, so the first path down takes the
-    biggest bites and meets a floor-size cover early.
+    ancestor's cells.  The root numbers the cells in branching order,
+    the cells that the fewest rectangles hold first, ties by index (the
+    fewest-options rule of Knuth's "Dancing Links"), and rewrites every
+    mask in that numbering.  A node branches on the rectangles through
+    its lowest uncovered bit c, minus those whose coverage of U is
+    dominated by another's: the other is always at least as good.  It
+    enters them as ``_undominated`` returns them, by descending coverage
+    of U, ties by descending area, then index, so the first path down
+    takes the biggest bites and meets a floor-size cover early.
 
-    Each branch cell c has a reach, the cells its candidates cover, and
-    a memo keyed by (c, U & reach), at most 100,000 entries, freed on
-    return: a candidate's coverage of U is its coverage of U & reach,
-    so a node that finds its key there reuses the undominated
-    candidates in their order, their coverages and the largest size.  A
+    A memo keyed by U & reach[c], the cells c's candidates cover, holds
+    that list, at most 100,000 entries, freed on return: a candidate's
+    coverage of U is its coverage of the key, whose lowest bit is c.  A
     node also tests each child before entering it.  With best_size -
     depth - 2 rectangles left to the child, each covering at most the
     largest coverage of U, a child with more uncovered cells than those
@@ -545,35 +548,38 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
     except BudgetExceeded:
         return best_sel, False
 
-    # Rectangles by descending size, ties by index: each cell's
-    # candidates, in branching order, and the masks the bound scans.
+    # Rectangles by descending size, ties by index: the order of each
+    # cell's candidates, which breaks _undominated's ties, and of the
+    # bound's scan.
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
-    cells = index_bits(universe)
-    cand_by_cell = {cell: [] for cell in cells}
+    holders = {cell: [] for cell in index_bits(universe)}
     for i in by_size:
         for cell in index_bits(cell_masks[i]):
-            cand_by_cell[cell].append(i)
-    # Branch on the cells with the fewest candidates first.
-    cell_order = sorted(cells, key=lambda c: (len(cand_by_cell[c]), c))
+            holders[cell].append(i)
+    # Bit b of masks is the cell whose candidates are cand_by_cell[b];
+    # sorted is stable, so ties keep the index order.
+    cand_by_cell = sorted(holders.values(), key=len)
+    masks = [0] * len(cell_masks)
+    for bit, cands in enumerate(cand_by_cell):
+        for i in cands:
+            masks[i] |= 1 << bit
+    reach = [reduce(or_, map(masks.__getitem__, cands))
+             for cands in cand_by_cell]
     seen = {}  # uncovered mask -> fewest rectangles used to reach it
-    reach = {}  # branch cell -> the cells its candidates cover
-    # (branch cell, U & its reach) -> ([(index, coverage, its size)] of
-    # the undominated candidates, the largest size)
-    branchings = {}
+    branchings = {}  # U & reach[c] -> _undominated of c's candidates
     # (cut, scan) of the root and of each narrowing node on the path:
     # scan holds, as (area, mask) pairs by descending area, every
     # rectangle that covers cut cells of that node's uncovered cells.
-    lists = [(0, [(cell_masks[i].bit_count(), cell_masks[i])
-                  for i in by_size])]
+    lists = [(0, [(masks[i].bit_count(), masks[i]) for i in by_size])]
 
-    def rec(uncovered, chosen, first):
-        # Every cell before cell_order[first] is covered, and the
-        # caller has ticked the meter for this node.  Unless U is empty,
-        # len(chosen) + 2 <= best_size: the search starts only when
-        # best_size exceeds the floor, at least 1, and a parent enters a
-        # child with cells left only while left > 0 below.  A true
-        # return ends the search: the incumbent has reached the floor.
+    def rec(uncovered, chosen):
+        # The caller has ticked the meter for this node.  Unless U is
+        # empty, len(chosen) + 2 <= best_size: the search starts only
+        # when best_size exceeds the floor, at least 1, and a parent
+        # enters a child with cells left only while left > 0 below.  A
+        # true return ends the search: the incumbent has reached the
+        # floor.
         nonlocal best_sel, best_size
         if uncovered == 0:
             if len(chosen) < best_size:
@@ -598,32 +604,14 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
                 break
         else:
             return
-        while not uncovered >> cell_order[first] & 1:
-            first += 1
-        cell = cell_order[first]
-        # A candidate covers no cell outside the cell's reach, so its
-        # coverage of U is its coverage of U & reach.
-        cell_reach = reach.get(cell)
-        if cell_reach is None:
-            cell_reach = 0
-            for i in cand_by_cell[cell]:
-                cell_reach |= cell_masks[i]
-            reach[cell] = cell_reach
-        within = uncovered & cell_reach
-        key = (cell, within)
-        branching = branchings.get(key)
-        if branching is None:
-            cands = cand_by_cell[cell]
-            covs = [cell_masks[i] & within for i in cands]
-            kept = [(cands[j], covs[j], covs[j].bit_count())
-                    for j in _undominated(covs)]
-            # Children by descending coverage; sort is stable, so equal
-            # ones keep the candidates' order.
-            kept.sort(key=lambda k: -k[2])
-            branching = kept, kept[0][2]
+        cell = (uncovered & -uncovered).bit_length() - 1
+        cands = cand_by_cell[cell]
+        within = uncovered & reach[cell]
+        kept = branchings.get(within)
+        if kept is None:
+            kept = _undominated([masks[i] & within for i in cands])
             if len(branchings) < 100_000:
-                branchings[key] = branching
-        kept, most = branching
+                branchings[within] = kept
         # A child's uncovered cells are U minus its coverage, and its t
         # is at least ceil(that count / left), as best_size only falls.
         # When left is below 1 no child with cells left is entered, so
@@ -633,7 +621,7 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
         # children's test below needs no bound.
         most_any = 0
         if left > 0:
-            t_min = -(-(size - most) // left)
+            t_min = -(-(size - kept[0][2]) // left)
             for cut, scan in reversed(lists):
                 if cut <= t_min:
                     break
@@ -649,22 +637,22 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
                     if c > most_any:
                         most_any = c
             lists.append((t_min, narrowed))
-        for i, cov, covered in kept:
+        for j, cov, covered in kept:
             meter.tick()
             # A child with more cells left than its left rectangles
             # cover, at most most_any each, cannot beat the incumbent:
             # counted, but not entered.
             if size - covered > (best_size - len(chosen) - 2) * most_any:
                 continue
-            chosen.append(i)
-            if rec(uncovered & ~cov, chosen, first + 1):
+            chosen.append(cands[j])
+            if rec(uncovered & ~cov, chosen):
                 return True
             chosen.pop()
         if left > 0:
             lists.pop()
 
     try:
-        rec(universe, [], 0)
+        rec((1 << len(cand_by_cell)) - 1, [])
         return best_sel, True
     except BudgetExceeded:
         return best_sel, False

@@ -90,7 +90,16 @@ MUTANTS = (
      "if size - covered > (best_size", "if size - covered >= (best_size",
      CAUGHT, "tests/test_rectangles.py::test_cover_matches_brute_force"),
     ("cover_memo_key_ignores_u", "src/cclab/rectangles.py",
-     "key = (cell, within)", "key = cell", CAUGHT,
+     "        kept = branchings.get(within)\n"
+     "        if kept is None:\n"
+     "            kept = _undominated([masks[i] & within for i in cands])\n"
+     "            if len(branchings) < 100_000:\n"
+     "                branchings[within] = kept\n",
+     "        kept = branchings.get(cell)\n"
+     "        if kept is None:\n"
+     "            kept = _undominated([masks[i] & within for i in cands])\n"
+     "            if len(branchings) < 100_000:\n"
+     "                branchings[cell] = kept\n", CAUGHT,
      "tests/test_rectangles.py::test_cover_bound_stages_decide_alike_on_random"),
     ("antichain_floor_high", "src/cclab/rectangles.py",
      "while comb(k, k // 2) < w:", "while comb(k, k // 2) <= w:", CAUGHT,
@@ -192,19 +201,19 @@ MUTANTS = (
      "                  (node.child1, level + 1))", CAUGHT,
      "tests/test_protocol.py::test_format_tree_is_json_dumps"),
     ("cover_children_by_index", "src/cclab/rectangles.py",
-     "            kept.sort(key=lambda k: -k[2])\n"
-     "            branching = kept, kept[0][2]\n",
-     "            branching = kept, max(k[2] for k in kept)\n", CAUGHT,
-     "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
+     "for j, cov, covered in kept:", "for j, cov, covered in sorted(kept):",
+     CAUGHT, "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_children_ascending", "src/cclab/rectangles.py",
-     "            kept.sort(key=lambda k: -k[2])\n"
-     "            branching = kept, kept[0][2]\n",
-     "            kept.sort(key=lambda k: k[2])\n"
-     "            branching = kept, kept[-1][2]\n", CAUGHT,
+     "for j, cov, covered in kept:",
+     "for j, cov, covered in sorted(kept, key=lambda k: k[2]):", CAUGHT,
      "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_branch_cells_crowded_first", "src/cclab/rectangles.py",
-     "key=lambda c: (len(cand_by_cell[c]), c))",
-     "key=lambda c: (-len(cand_by_cell[c]), c))", CAUGHT,
+     "cand_by_cell = sorted(holders.values(), key=len)",
+     "cand_by_cell = sorted(holders.values(), key=len, reverse=True)", CAUGHT,
+     "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
+    ("cover_branch_highest_bit", "src/cclab/rectangles.py",
+     "cell = (uncovered & -uncovered).bit_length() - 1",
+     "cell = uncovered.bit_length() - 1", CAUGHT,
      "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from cclab.cli import main
+from cclab.cli import _render, main
 from cclab import Rectangle, format_bfn, verify
 from cclab.rectangles import format_rect
 
@@ -106,6 +107,30 @@ def test_measure_eq4_csv(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "eq4" and row[3] == "4"  # rank
     assert row[6] == "3" and row[7] == "3"    # D_lo, D_hi
+
+
+def test_measure_csv_quotes_a_label_with_commas_and_quotes(tmp_path):
+    # A field holding a comma, a quote or a line break is quoted, with
+    # each quote doubled (RFC 4180); the other fields and the header
+    # read as before.
+    rows = []
+    for label in ('a,b "c"', "plain"):
+        src = tmp_path / "f.bfn"
+        src.write_text(f"2 2\n01\n10\n# {label}\n")
+        out = tmp_path / "row.csv"
+        assert run(["measure", "--in", str(src), "--format", "csv",
+                    "--out", str(out)]) == 0
+        text = out.read_text()
+        head, body = text.split("\n", 1)
+        assert head.startswith("#v1 name,rows,")
+        rows.append(list(csv.reader(io.StringIO(body))))
+    quoted, plain = rows
+    assert len(quoted) == 1 and len(quoted[0]) == len(head.split(","))
+    assert quoted[0] == ['a,b "c"'] + plain[0][1:]
+    assert text.endswith("\nplain," + ",".join(plain[0][1:]) + "\n")
+    lines = _render([{"a": "x\r\ny", "b": 1}, {"a": "", "b": None}], "csv")
+    assert list(csv.reader(io.StringIO(lines.split("\n", 1)[1]))) == [
+        ["x\r\ny", "1"], ["", ""]]
 
 
 def test_measure_ip8_rank(capsys):

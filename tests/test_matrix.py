@@ -335,6 +335,18 @@ def test_bfn_label_and_crlf():
     assert f.sign.tolist() == [[1, -1, 1], [-1, -1, -1]]
 
 
+def test_bfn_refuses_a_second_label_line():
+    # One optional label line: a second is trailing content, refused at
+    # its line, column 1, like any other, also when the first is blank.
+    for text, line in (("1 1\n0\n# one\n# two\n", 4),
+                       ("1 1\n0\n#\n\n# two\n", 5)):
+        with pytest.raises(ParseError) as err:
+            parse_bfn(text)
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "unexpected trailing content", line, 1)
+    assert parse_bfn("1 1\n0\n\n# one\n\n").label == "one"
+
+
 def test_bfn_header_whitespace_strict():
     with pytest.raises(ParseError):
         parse_bfn("2  2\n00\n00\n")

@@ -386,9 +386,9 @@ def test_cover_search_counts_every_visit():
 
 
 def test_cover_search_filters_each_branching_once(monkeypatch):
-    # gt4^2 branches 9,429 times at this budget, on 1,386 distinct
-    # (branch cell, uncovered cells within its candidates' reach): the
-    # dominance filter runs once for each.
+    # gt4^2 branches 9,429 times at this budget, on 1,386 distinct sets
+    # of uncovered cells within the branch cell's reach, whose lowest
+    # cell is the branch cell: the dominance filter runs once for each.
     calls = []
 
     def counted(covs):
@@ -493,8 +493,10 @@ def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
 
 
 def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
-    """The color's cover search with no narrowing: every node tests the
-    coverage bound on the whole size-sorted list of the rectangles.  It
+    """The color's cover search with no narrowing, no memo and no
+    renumbering: every node tests the coverage bound on the whole
+    size-sorted list of the rectangles, walks the cells in branching
+    order to its first uncovered one and sorts its children itself.  It
     stops once it holds a cover of ``floor`` rectangles."""
     best_sel = list(incumbent)
     best_size = len(incumbent)
@@ -535,7 +537,8 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
         cands = cand_by_cell[next(c for c in cell_order
                                   if uncovered >> c & 1)]
         covs = [cell_masks[i] & uncovered for i in cands]
-        kept = sorted(_undominated(covs), key=lambda j: -covs[j].bit_count())
+        kept = sorted((j for j, _, _ in _undominated(covs)),
+                      key=lambda j: (-covs[j].bit_count(), j))
         for j in kept:
             chosen.append(cands[j])
             if rec(uncovered & ~covs[j], chosen):
@@ -552,8 +555,9 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
 @pytest.mark.parametrize("head", [0, 7, 10**9])
 def test_cover_bound_stages_decide_alike(head, monkeypatch):
     # The coverage bound read in stages, each node on the list its
-    # parent narrowed, gives the same nodes, bounds and cover as a
-    # search that scans every rectangle at every node, also when colors
+    # parent narrowed, on cells renumbered in branching order, gives the
+    # same nodes, bounds and cover as a search that scans every
+    # rectangle at every node on the cells as given, also when colors
     # of at most `head` rectangles take the full scan and the rest
     # narrow: all colors narrow (head 0), colors over 7 rectangles, or
     # none (a head above every color's count).  Random 3x3^3 seed 3
@@ -624,14 +628,18 @@ def test_cover_search_frees_its_arrays_on_return():
 
 def _undominated_pairwise(covs):
     """Mask i is kept unless some other mask j contains it and differs
-    from it, or equals it with j < i."""
-    return [i for i, a in enumerate(covs)
+    from it, or equals it with j < i; kept as (i, mask, size), by size,
+    descending, ties by index."""
+    kept = [(i, a, a.bit_count()) for i, a in enumerate(covs)
             if not any(j != i and a | b == b and (a != b or j < i)
                        for j, b in enumerate(covs))]
+    return sorted(kept, key=lambda k: (-k[2], k[0]))
 
 
 def test_undominated_matches_pairwise_definition():
     # A candidate covers the cell the node branches on, so no mask is 0.
+    # Each kept mask comes with its index and size, by size, descending,
+    # ties by index: the order in which the search enters the children.
     rng = random.Random(7)
     for _ in range(400):
         n = rng.randint(1, 40)
@@ -650,7 +658,9 @@ def test_undominated_matches_pairwise_definition():
         rng.shuffle(covs)
         covs = covs[:40]
         assert _undominated(covs) == _undominated_pairwise(covs), covs
-    assert _undominated([3, 3, 1, 7, 7]) == [3]
+    assert _undominated([3, 3, 1, 7, 7]) == [(3, 7, 3)]
+    assert _undominated([1, 6, 3, 28, 6]) == [(3, 28, 3), (1, 6, 2),
+                                              (2, 3, 2)]
 
 
 def _cells(f, r):
