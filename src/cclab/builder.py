@@ -4,9 +4,11 @@ The engine: find a large monochromatic rectangle R of the current
 subfunction (directly, or through the lift-and-extract pipeline), use
 the rank split to decide which player announces consistency with R,
 and recurse into the stacked block containing R (rank drops to at most
-(rk+3)/2) or its complement (the input space shrinks).  Base cases:
-single-cell submatrices, and rank < 5 via the distinct-row protocol
-(at most 16 row classes, hence at most 32 leaves).
+(rk+3)/2) or its complement (the input space shrinks).  The base
+case: rank < 5, via the distinct-row protocol (at most 16 row classes,
+hence at most 32 leaves).  A block of one cell is only ever the root,
+since each child of a split keeps a whole side of a block of rank >= 5,
+and the base case answers it with one leaf.
 
 Rows and columns are deduplicated once at the top, which caps the cell
 count at 2**(2*rank) and makes the shrink-step budget checkable; that
@@ -43,7 +45,7 @@ BASE_LEAF_FACTOR = 32  # distinct-row base case: <= 16 classes x 2 leaves
 
 @dataclass(frozen=True)
 class BuildStep:
-    kind: str  # "split" | "low_rank" | "tiny"
+    kind: str  # "split" | "low_rank"
     rows: int
     cols: int
     rank: int
@@ -59,7 +61,7 @@ class BuildTrace:
     steps: tuple
     rank_steps: int    # max over root-leaf recursion paths
     shrink_steps: int  # max over root-leaf recursion paths
-    base_case: str     # first base case reached ("low_rank" | "tiny")
+    base_case: str     # the base case, "low_rank"
     input_rank: int
     cover_value: int | None
     n: int
@@ -223,9 +225,6 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         if rk is None:
             rk = rank(sub)
         cells = sub.cells
-        if cells <= 1:
-            steps.append(BuildStep("tiny", sub.rows, sub.cols, rk))
-            return Leaf(fd.f_value(cur_rows[0], cur_cols[0])), 0, 0
         if rk < 5:
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
             return low_rank_tree(cur_rows, cur_cols), 0, 0
@@ -269,11 +268,8 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                         f.rows, f.cols)
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
-    # Steps are in pre-order, so the first base case is the first step
-    # that is not a split.
-    base_case = next(s.kind for s in steps if s.kind != "split")
     trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
-                       shrink_steps=shrink_steps, base_case=base_case,
+                       shrink_steps=shrink_steps, base_case="low_rank",
                        input_rank=input_rank, cover_value=cover_value, n=n)
     if not trace.budgets_ok():
         raise InvariantError("built protocol exceeds the paper's budgets")

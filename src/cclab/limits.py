@@ -64,20 +64,23 @@ class SearchLimits:
     @classmethod
     def parse(cls, text: str) -> "SearchLimits":
         """The limits of the --limits syntax ``node=..,ms=..,rects=..``:
-        any subset, with no spaces, each value in ASCII digits; the
-        others keep their defaults, and "" gives the defaults."""
-        fields = {"node": cls.node_budget, "ms": cls.time_budget_ms,
-                  "rects": cls.rect_budget}
+        any subset, each key at most once, with no spaces, each value in
+        ASCII digits; the others keep their defaults, and "" gives the
+        defaults."""
+        fields = {"node": "node_budget", "ms": "time_budget_ms",
+                  "rects": "rect_budget"}
+        given = {}
         for part in text.split(",") if text else ():
             key, _, val = part.partition("=")
             if key not in fields:
                 raise ValueError(f"bad limit syntax {part!r} (want node=..,ms=..,rects=..)")
+            if fields[key] in given:
+                raise ValueError(f"limit {key} given twice")
             try:
-                fields[key] = parse_count(val)
+                given[fields[key]] = parse_count(val)
             except ValueError as e:
                 raise ValueError(f"limit {key}: {e}") from None
-        return cls(node_budget=fields["node"], time_budget_ms=fields["ms"],
-                   rect_budget=fields["rects"])
+        return cls(**given)
 
 
 class Meter:

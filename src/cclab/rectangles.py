@@ -366,51 +366,44 @@ def validate_cover(f: BoolFun, cover: tuple) -> bool:
     return all(s == full for s in seen)
 
 
-def _grid_mask(a: int, b: int, cols: int) -> int:
-    """The cell mask of the rows ``a`` times the columns ``b`` in a grid
-    of ``cols`` columns, cell (x, y) at bit x * cols + y."""
-    return sum(b << x * cols for x in index_bits(a))
-
-
-def _greedy_cover(f: BoolFun, cells: int, color: int, cell_masks) -> tuple:
-    """Greedy cover of the cells of one color, the mask ``cells``, by
-    the rectangles of that color with the cell masks ``cell_masks``:
-    (indices into cell_masks, extra closure rectangles as (row mask,
-    col mask) pairs).
-
-    The extras are only needed when the enumerated universe was
-    truncated and left cells uncoverable."""
+def _greedy_cover(cell_masks, cells: int) -> list:
+    """Greedy set cover of ``cells`` by ``cell_masks``, which hold all
+    of them: the indices picked, each the first of the masks covering
+    the most cells still uncovered.  Coverage only shrinks, so a stale
+    count bounds the fresh one: the popped mask is picked once its fresh
+    key (-count, index) sorts before the heap's top, else pushed back
+    unless it covers nothing.  The heap's counts are all negative, and
+    a mask holding an uncovered cell waits there, so a mask covering
+    nothing is never picked."""
     uncovered = cells
     chosen = []
-    extra = []
-    row_cols = f.masks(color)[0]
-    # Coverage only shrinks, so a stale count bounds the fresh one: the
-    # popped rectangle is the first of the most-covering ones once its
-    # fresh key (-count, index) still sorts before the heap's top.
     heap = [(-cm.bit_count(), idx) for idx, cm in enumerate(cell_masks)]
     heapq.heapify(heap)
     while uncovered:
-        best_idx = -1
-        while heap:
-            _, idx = heapq.heappop(heap)
-            cov = (cell_masks[idx] & uncovered).bit_count()
-            if not cov:
-                continue
-            if not heap or (-cov, idx) < heap[0]:
-                best_idx = idx
-                break
+        _, idx = heapq.heappop(heap)
+        cov = (cell_masks[idx] & uncovered).bit_count()
+        if not heap or (-cov, idx) < heap[0]:
+            chosen.append(idx)
+            uncovered &= ~cell_masks[idx]
+        elif cov:
             heapq.heappush(heap, (-cov, idx))
-        if best_idx < 0:
-            # Close the first uncovered cell's row x over the columns
-            # where row x has this color.
-            x = ((uncovered & -uncovered).bit_length() - 1) // f.cols
-            rows, _ = _closure(row_cols, row_cols[x], range(f.rows))
-            extra.append((rows, row_cols[x]))
-            uncovered &= ~_grid_mask(rows, row_cols[x], f.cols)
-        else:
-            chosen.append(best_idx)
-            uncovered &= ~cell_masks[best_idx]
-    return chosen, extra
+    return chosen
+
+
+def _closed_rows(row_cols, stray: int, cols: int) -> list:
+    """Rectangles, as (row mask, col mask) pairs, that cover the stray
+    cells ``stray`` of the color with the row masks ``row_cols``, cell
+    (x, y) at bit x * cols + y: in row-major order, each stray cell that
+    no earlier one holds closes its row x over row x's columns of the
+    color.  Cells are stray when a truncated enumeration left no
+    rectangle holding them."""
+    extra = []
+    for cell in index_bits(stray):
+        x, y = divmod(cell, cols)
+        if not any(a >> x & b >> y & 1 for a, b in extra):
+            extra.append((_closure(row_cols, row_cols[x],
+                                   range(len(row_cols)))[0], row_cols[x]))
+    return extra
 
 
 def cover_number(f: BoolFun, mode: str = EXACT,
@@ -420,14 +413,16 @@ def cover_number(f: BoolFun, mode: str = EXACT,
 
     A rectangle covers cells of its own color only, so C(f) = C+(f) +
     C-(f), two independent set covers over one enumeration of the
-    maximal rectangles.  mode="greedy": each color's greedy cover,
-    reported as BOUNDS.  mode="exact": each color's branch-and-bound set
-    cover with its greedy value as incumbent; limit exhaustion yields
-    BOUNDS, a truncated rectangle universe INCONCLUSIVE (greedy covers
-    only), never a wrong exact claim.  Each color's lower bound is its
-    floor, the larger of its fooling-set count and its antichain bound
-    (``_antichain_floor``), until its search finishes, then its cover's
-    size; ``lower`` is their sum.  The result always carries a cover
+    maximal rectangles.  A color's greedy cover is ``_greedy_cover`` of
+    the cells its rectangles hold, and ``_closed_rows`` of the rest.
+    mode="greedy": the greedy covers, reported as BOUNDS.  mode="exact":
+    each color's branch-and-bound set cover with its greedy value as
+    incumbent; limit exhaustion yields BOUNDS, a truncated rectangle
+    universe INCONCLUSIVE (greedy covers only), never a wrong exact
+    claim.  Each color's lower bound is its floor, the larger of its
+    fooling-set count and its antichain bound (``_antichain_floor``),
+    until its search finishes, then its cover's size; ``lower`` is
+    their sum.  The result always carries a cover
     witnessing ``upper``, validated once (InvariantError if it fails)
     and sorted by Rectangle.key.
     """
@@ -441,15 +436,18 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     lower = 0
     exact = search
     for color, pairs in found.items():
-        cell_masks = [_grid_mask(a, b, f.cols) for a, b in pairs]
-        cells = sum(m << (x * f.cols)
-                    for x, m in enumerate(f.masks(color)[0]))
+        row_cols = f.masks(color)[0]
+        cell_masks = [sum(b << x * f.cols for x in index_bits(a))
+                      for a, b in pairs]
+        held = reduce(or_, cell_masks, 0)
+        cells = sum(m << (x * f.cols) for x, m in enumerate(row_cols))
         floor = max(_fooling_cells(f, color).bit_count(),
                     _antichain_floor(f, color))
-        chosen, extra = _greedy_cover(f, cells, color, cell_masks)
+        chosen = _greedy_cover(cell_masks, held)
+        extra = _closed_rows(row_cols, cells & ~held, f.cols)
         done = False
-        if search:
-            chosen, done = _exact_color_cover(cells, cell_masks, chosen,
+        if search:  # the enumeration is complete: held is all the cells
+            chosen, done = _exact_color_cover(held, cell_masks, chosen,
                                               floor, meter)
             exact = exact and done
         cover += [Rectangle(index_bits(a), index_bits(b), color=color)

@@ -215,6 +215,12 @@ MUTANTS = (
      "cell = (uncovered & -uncovered).bit_length() - 1",
      "cell = uncovered.bit_length() - 1", CAUGHT,
      "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
+    ("greedy_no_push_back", "src/cclab/rectangles.py",
+     "if not heap or (-cov, idx) < heap[0]:", "if cov:", CAUGHT,
+     "tests/test_rectangles.py::test_greedy_cover_first_best_pick"),
+    ("closed_rows_every_stray_cell", "src/cclab/rectangles.py",
+     "if not any(a >> x & b >> y & 1 for a, b in extra):", "if True:",
+     CAUGHT, "tests/test_rectangles.py::test_greedy_cover_first_best_pick"),
     ("cover_threshold_stop", "src/cclab/rectangles.py",
      "            if area < t:\n", "            if area < t - 1:\n",
      EQUIVALENT, "a rectangle of area t - 1 covers fewer than t cells, so "

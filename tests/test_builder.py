@@ -10,6 +10,7 @@ from cclab import (BoolFun, CapacityError, InvariantError, Rectangle,
 from cclab.builder import (ALICE_SENDS, BOB_SENDS, DIRECT_MAX, LIFT_EXTRACT,
                            BuildStep, BuildTrace, _area_guarantee,
                            _ceil_nth_root, choose_split, find_big_rectangle)
+from cclab.protocol import Leaf
 from cclab.rectangles import EXACT
 
 from oracles import rank_fractions, random_sign
@@ -175,7 +176,7 @@ def test_budgets_ok_fails_on_each_check():
     def trace(rank_steps=rank_budget, shrink_steps=shrink_budget,
               cover_value=9, **checks):
         step = BuildStep("split", 4, 4, 5, ALICE_SENDS, 4, 4, **checks)
-        return BuildTrace((step,), rank_steps, shrink_steps, "tiny", 5,
+        return BuildTrace((step,), rank_steps, shrink_steps, "low_rank", 5,
                           cover_value, 2)
 
     assert trace().budgets_ok()
@@ -199,11 +200,21 @@ def test_area_guarantee_at_its_exact_boundary():
 # ----------------------------------------------------------- build
 
 def test_build_constant_single_leaf():
-    f = make_family("const", 4, const_value=1)
-    tree, trace = build_protocol(f, 1)
-    assert tree.leaf_count == 1
-    assert trace.rank_steps == 0 and trace.shrink_steps == 0
-    assert verify(tree, f)
+    # A constant deduplicates to one cell, which the low-rank base case
+    # answers with one leaf of its value.
+    for value in (0, 1):
+        f = make_family("const", 4, const_value=value)
+        tree, trace = build_protocol(f, 1)
+        assert tree.root == Leaf(value)
+        assert [s.kind for s in trace.steps] == ["low_rank"]
+        assert trace.base_case == "low_rank"
+        assert trace.rank_steps == 0 and trace.shrink_steps == 0
+        assert verify(tree, f)
+
+
+def test_build_n_below_one_is_refused():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build_protocol(make_family("eq", 2), 0)
 
 
 def test_build_eq4_low_rank_base():
@@ -276,7 +287,7 @@ def test_build_degenerate_vectors():
     row = random_sign(1, 7, 4400)
     tree, trace = build_protocol(row, 1)
     assert verify(tree, row)
-    assert trace.base_case in ("low_rank", "tiny")
+    assert trace.base_case == "low_rank"
     col = random_sign(7, 1, 4401)
     tree, trace = build_protocol(col, 1)
     assert verify(tree, col)

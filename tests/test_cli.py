@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cclab.cli import _render, main
-from cclab import Rectangle, format_bfn, verify
+from cclab import Rectangle, SearchLimits, format_bfn, verify
 from cclab.rectangles import format_rect
 
 from oracles import random_sign
@@ -715,6 +715,24 @@ def test_bad_limits_flag(capsys):
     assert run(["measure", "--family", "xor", "--m", "2",
                 "--limits", "bogus=3"]) == 1
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["node=1,node=2", "ms=5,rects=9,ms=5",
+                                   "rects=3,node=4,rects=3"])
+def test_repeated_limit_key_is_refused(limit, capsys):
+    key = limit.partition("=")[0]
+    argv = ["measure", "--family", "xor", "--m", "2", "--limits", limit]
+    assert refusal(argv, capsys) == f"error: limit {key} given twice"
+    with pytest.raises(ValueError, match="given twice"):
+        SearchLimits.parse(limit)
+
+
+def test_build_n_below_one_is_a_user_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert refusal(["build", "--family", "eq", "--m", "2", "--n", "0",
+                    "--mode", "greedy", "--out", str(out)],
+                   capsys) == "error: n must be >= 1"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("limit", ["node=0", "rects=0", "ms=0"])

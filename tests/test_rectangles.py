@@ -2,7 +2,9 @@ import gc
 import hashlib
 import random
 import tracemalloc
+from functools import reduce
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from cclab import (BoolFun, Rectangle, SearchLimits, check_monochromatic,
 from cclab import InvariantError, limits, rectangles
 from cclab.limits import INTERVAL, BudgetExceeded, Meter
 from cclab.matrix import index_bits
-from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _fooling_cells,
-                              _greedy_cover, _undominated, format_rect,
-                              parse_rect)
+from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _closed_rows,
+                              _fooling_cells, _greedy_cover, _undominated,
+                              format_rect, parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -699,14 +701,17 @@ def test_greedy_cover_first_best_pick():
         budget = max(1, len(full) // 3) if s % 2 else len(full)
         rects = enumerate_maximal_mono(f, budget=budget).rects
         want = _first_max_greedy(f, rects)
-        # The greedy covers each color alone: its picks and extras are the
-        # oracle's of that color, in order.
+        # Each color alone: the greedy cover of the cells its rectangles
+        # hold picks the oracle's rectangles of that color, and the closed
+        # rows of the cells they leave are the oracle's closures, in order.
         for color in (1, -1):
             ids = [i for i, r in enumerate(rects) if r.color == color]
+            masks = [_cells(f, rects[i]) for i in ids]
+            held = reduce(or_, masks, 0)
             cells = sum(1 << (x * f.cols + y) for x in range(f.rows)
                         for y in range(f.cols) if f.sign[x, y] == color)
-            picks, extra = _greedy_cover(f, cells, color,
-                                         [_cells(f, rects[i]) for i in ids])
+            picks = _greedy_cover(masks, held)
+            extra = _closed_rows(f.masks(color)[0], cells & ~held, f.cols)
             assert [ids[i] for i in picks] == [
                 i for i in want[0] if rects[i].color == color]
             assert [Rectangle(index_bits(a), index_bits(b), color=color)
