@@ -8,7 +8,8 @@ and recurse into the stacked block containing R (rank drops to at most
 case: rank < 5, via the distinct-row protocol (at most 16 row classes,
 hence at most 32 leaves).  A block of one cell is only ever the root,
 since each child of a split keeps a whole side of a block of rank >= 5,
-and the base case answers it with one leaf.
+and the base case answers it with one leaf.  In direct mode a child's
+maximum-rectangle search is capped by the area its parent split on.
 
 Rows and columns are deduplicated once at the top, which caps the cell
 count at 2**(2*rank) and makes the shrink-step budget checkable; that
@@ -61,7 +62,6 @@ class BuildTrace:
     steps: tuple
     rank_steps: int    # max over root-leaf recursion paths
     shrink_steps: int  # max over root-leaf recursion paths
-    base_case: str     # the base case, "low_rank"
     input_rank: int
     cover_value: int | None
     n: int
@@ -132,20 +132,23 @@ def _area_guarantee(area: int, cells: int, cover_value: int, n: int) -> bool:
     return (4 * area) ** n * cover_value >= cells ** n
 
 
-def find_big_rectangle(f: BoolFun, n: int,
-                       strategy: str = DIRECT_MAX) -> Rectangle:
+def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
+                       cap: int | None = None) -> Rectangle:
     """A large monochromatic rectangle of f.
 
     strategy "lift": build f^(+n), take its maximum monochromatic
     rectangle and pull it back through extract_rectangle (the literal
     proof path; needs the lift under the desk-scale cap).
     strategy "direct": the maximum monochromatic rectangle of f itself,
-    which is at least as large as any extraction can promise.
+    which is at least as large as any extraction can promise.  ``cap``,
+    a bound on the area of every monochromatic rectangle of f, goes to
+    that search (``max_mono_rectangle``); the lift's rectangles are not
+    bounded by it, so the lift strategy ignores it.
     """
     if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == DIRECT_MAX:
-        return max_mono_rectangle(f)
+        return max_mono_rectangle(f, cap)
     try:
         big = max_mono_rectangle(xor_power(f, n))
     except CapacityError as e:
@@ -187,6 +190,11 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     the rank steps always, and the shrink steps and area checks when
     cover_value, the exact cover number of f^(+n), is given.  Either
     check failing is a bug, raised as InvariantError.
+
+    In direct mode each child of a split is a submatrix of its parent,
+    so the area of the maximum rectangle its parent split on caps the
+    child's search; the root, and every block in lift mode, whose
+    rectangle is not a maximum, is searched without a cap.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -217,10 +225,11 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
         return _halve(groups, 0, len(groups), value_leaf)
 
-    def rec(cur_rows, cur_cols, rk=None):
+    def rec(cur_rows, cur_cols, rk=None, cap=None):
         # The tree of the block cur_rows x cur_cols of rank rk, ranked
         # here when the parent does not know it, and the most rank and
-        # shrink steps on its root-to-leaf paths.
+        # shrink steps on its root-to-leaf paths; cap bounds the area
+        # of the block's rectangles.
         sub = BoolFun(fd.sign[np.ix_(cur_rows, cur_cols)])
         if rk is None:
             rk = rank(sub)
@@ -229,7 +238,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
             return low_rank_tree(cur_rows, cur_cols), 0, 0
 
-        rect = find_big_rectangle(sub, n, strategy)
+        rect = find_big_rectangle(sub, n, strategy, cap)
         side, side_rank = choose_split(sub, rect, rk)
         alice = side == ALICE_SENDS
 
@@ -252,9 +261,11 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
             area_check=area_check, shrink_check=shrink_check))
 
         # The stacked block is the chosen side's block, whose rank
-        # choose_split computed; the complement ranks itself.
-        child1, r1, s1 = rec(in_rows, in_cols, side_rank)
-        child0, r0, s0 = rec(*part(outside))
+        # choose_split computed; the complement ranks itself.  In direct
+        # mode rect is this block's maximum, so its area caps both.
+        child_cap = rect.area if strategy == DIRECT_MAX else None
+        child1, r1, s1 = rec(in_rows, in_cols, side_rank, child_cap)
+        child0, r0, s0 = rec(*part(outside), None, child_cap)
         node = Node(ALICE if alice else BOB, frozenset(inside), child0, child1)
         return node, max(r1 + 1, r0), max(s1, s0 + 1)
 
@@ -269,8 +280,8 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     if not verify(tree, f):
         raise InvariantError("built protocol failed verification")
     trace = BuildTrace(steps=tuple(steps), rank_steps=rank_steps,
-                       shrink_steps=shrink_steps, base_case="low_rank",
-                       input_rank=input_rank, cover_value=cover_value, n=n)
+                       shrink_steps=shrink_steps, input_rank=input_rank,
+                       cover_value=cover_value, n=n)
     if not trace.budgets_ok():
         raise InvariantError("built protocol exceeds the paper's budgets")
     return tree, trace

@@ -29,8 +29,9 @@ monochromatic rectangles.  Over the columns it enumerates them all.
 Over the rows it finds a maximum-area one, since every maximum-area
 rectangle is closed: it skips the subtrees whose area bound, from the
 rows times the columns or from a matching through the other color's
-cells, falls below the best area so far, and at an equal bound those
-whose fixed leading rows sort after the best's.
+cells, and lowered to the caller's cap on the area where one is given,
+falls below the best area so far, and at an equal bound those whose
+fixed leading rows sort after the best's.
 
 Masks inside, Rectangles at the boundary: the searches read each
 color's Python integer bitmasks from ``BoolFun.masks(color)``, so no
@@ -218,9 +219,13 @@ def enumerate_maximal_mono(
     return EnumerationResult(rects=tuple(rects), truncated=truncated)
 
 
-def max_mono_rectangle(f: BoolFun) -> Rectangle:
+def max_mono_rectangle(f: BoolFun, cap: int | None = None) -> Rectangle:
     """A maximum-area monochromatic rectangle, ties broken
     lexicographically by (row_set, col_set).
+
+    ``cap``, when given, must be at least the area of every
+    monochromatic rectangle of f, as the maximum of a matrix that
+    contains f is; it changes the work, never the answer.
 
     A maximum-area rectangle is closed, so this is the Close-by-One
     search with the rows as the attributes, skipping a child's subtree
@@ -234,16 +239,18 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
     - r + c <= |a2| + width - mu, where mu counts the pairs (column o in
       a2, row z in cand[i:]) of a matching through cells of the other
       color: no monochromatic rectangle holds both o and z.  The area is
-      then at most the largest r * c under that sum and the two caps.
+      then at most the largest r * c under that sum and the two limits.
       The matching is greedy: from the last candidate back, each row
       takes the first free column where its cell has the other color.
       It is built once per node, down to the first child that passes
-      the first test;
+      the first test.  A bound above ``cap`` is lowered to it, so once
+      the best area reaches the cap every child falls to the last test;
     - at a bound equal to the best area, the child's rows up to y
       against the best's: where they first differ, a best holding that
       row sorts first, and so before every rectangle below the child.
     """
     best = [0, 0, 0, None]  # area, row mask, col mask, color
+    top = f.cells if cap is None else cap  # no rectangle is larger
 
     for color in (1, -1):
         row_cols = f.masks(color)[0]
@@ -270,6 +277,8 @@ def max_mono_rectangle(f: BoolFun) -> Rectangle:
                 h = s >> 1
                 r = s - c if h < s - c else width if h > width else h
                 bound = r * (s - r)
+                if bound > top:
+                    bound = top
                 if bound != best[0]:
                     return bound < best[0]
                 # The rows up to y where the child and the best differ:

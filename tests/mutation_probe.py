@@ -152,6 +152,14 @@ MUTANTS = (
     ("max_rect_matching_all_free", "src/cclab/rectangles.py",
      "avail ^= free & -free", "avail ^= free", CAUGHT,
      "tests/test_rectangles.py::test_max_mono_matches_brute_force"),
+    ("max_rect_cap_ignored", "src/cclab/rectangles.py",
+     "                if bound > top:\n                    bound = top\n", "",
+     CAUGHT, "tests/test_rectangles.py::test_max_mono_cap_closures_pinned"),
+    ("build_cap_dropped", "src/cclab/builder.py",
+     "rect = find_big_rectangle(sub, n, strategy, cap)",
+     "rect = find_big_rectangle(sub, n, strategy)", CAUGHT,
+     "tests/test_builder.py::"
+     "test_build_caps_each_child_by_its_parents_area"),
     ("cell_count_unraised", "src/cclab/builder.py",
      '        raise InvariantError("deduplicated cell count exceeds '
      '2**(2*rank)")\n', "        pass\n", CAUGHT,

@@ -176,8 +176,8 @@ def test_budgets_ok_fails_on_each_check():
     def trace(rank_steps=rank_budget, shrink_steps=shrink_budget,
               cover_value=9, **checks):
         step = BuildStep("split", 4, 4, 5, ALICE_SENDS, 4, 4, **checks)
-        return BuildTrace((step,), rank_steps, shrink_steps, "low_rank", 5,
-                          cover_value, 2)
+        return BuildTrace((step,), rank_steps, shrink_steps, 5, cover_value,
+                          2)
 
     assert trace().budgets_ok()
     assert trace(area_check=True, shrink_check=True).budgets_ok()
@@ -207,7 +207,6 @@ def test_build_constant_single_leaf():
         tree, trace = build_protocol(f, 1)
         assert tree.root == Leaf(value)
         assert [s.kind for s in trace.steps] == ["low_rank"]
-        assert trace.base_case == "low_rank"
         assert trace.rank_steps == 0 and trace.shrink_steps == 0
         assert verify(tree, f)
 
@@ -220,7 +219,6 @@ def test_build_n_below_one_is_refused():
 def test_build_eq4_low_rank_base():
     eq4 = make_family("eq", 4)
     tree, trace = build_protocol(eq4, 1)
-    assert trace.base_case == "low_rank"
     assert trace.steps[0].kind == "low_rank"
     assert tree.leaf_count <= 32
     assert verify(tree, eq4)
@@ -287,7 +285,7 @@ def test_build_degenerate_vectors():
     row = random_sign(1, 7, 4400)
     tree, trace = build_protocol(row, 1)
     assert verify(tree, row)
-    assert trace.base_case == "low_rank"
+    assert [s.kind for s in trace.steps] == ["low_rank"]
     col = random_sign(7, 1, 4401)
     tree, trace = build_protocol(col, 1)
     assert verify(tree, col)
@@ -417,3 +415,50 @@ def test_build_ranks_each_block_once(monkeypatch):
         bob = sum(s.side == BOB_SENDS for s in trace.steps)
         assert (splits, bob) == want, f.label
         assert len(calls) == 1 + 2 * splits + bob, f.label
+
+
+def _parent_areas(steps):
+    """(the area of the parent's split, whether the block is the
+    parent's stacked child) for each split step, (None, None) at the
+    root: the steps come in preorder, each split followed by its
+    stacked subtree and then its complement's."""
+    found = []
+
+    def walk(i, area, stacked):  # the index after the subtree at i
+        step = steps[i]
+        if step.kind != "split":
+            return i + 1
+        found.append((area, stacked))
+        i = walk(i + 1, step.rect_area, True)
+        return walk(i, step.rect_area, False)
+
+    assert walk(0, None, None) == len(steps)
+    return found
+
+
+def test_build_caps_each_child_by_its_parents_area(monkeypatch):
+    # In direct mode both children of a split search under the area of
+    # the maximum rectangle their parent split on; the root, and every
+    # block of a lift build, search without a cap.
+    import cclab.builder as builder
+
+    caps = []
+    real = builder.find_big_rectangle
+
+    def recorded(f, n, strategy=DIRECT_MAX, cap=None):
+        caps.append(cap)
+        return real(f, n, strategy, cap)
+
+    monkeypatch.setattr(builder, "find_big_rectangle", recorded)
+    kinds = set()
+    for f in (make_family("ip", 16), make_family("random", 24, seed=3)):
+        caps.clear()
+        _, trace = build_protocol(f, 1)
+        parents = _parent_areas(trace.steps)
+        assert caps == [area for area, _ in parents], f.label
+        assert caps[0] is None
+        kinds.update(stacked for _, stacked in parents[1:])
+    assert kinds == {True, False}  # both children were capped
+    caps.clear()
+    build_protocol(make_family("ip", 8), 1, strategy=LIFT_EXTRACT)
+    assert caps == [None] * 5  # its 5 split steps

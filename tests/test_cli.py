@@ -325,32 +325,32 @@ def test_build_reaches_eq32(tmp_path, capsys):
 CONSTRUCTION_PINS = (
     (["--family", "ip", "--m", "8"],
      "c84f4e2fc385dbd9a6587c2a0b72c666cbe440078e8bc05b62f4de03264aec52",
-     "a3889a0821baf0fa6cee84f63a989ced8bb6218cda910bd68433f08be40d9f10",
+     "3783f6d9183995fa21571fdb5b7e4729efc4e85fd4842eebd70c908240bc8fc1",
      "d41349d39dfd08c0e2fad126c86277b775b2c5ec9d3ddcd749ca6eaf88d69284"),
     (["--family", "eq", "--m", "12"],
      "a0a46af4f9f05071a320b67ef14204c9e757459b2240df9dcf9650fc6d48b7e6",
-     "71c996944d9a0014ef36d819d9498c3e5310a8a4b80541de99811c29f65f8f42",
+     "6eb4e3fbbd78868dd1a8188748ce577ca46f79a864e332656c1acb17dcc35f9c",
      "39a24f4c168ab0e422be65cadedddd6ba08ad314cd95e7791e6cad3bcc16d51b"),
     (["--family", "random", "--m", "16", "--seed", "1"],
      "0fe02f03eefdc2bfa1d28477906ff01da7f78d5ace10c521253f8d2a4023c50c",
-     "65634ad9099dbd46e51d27d3f88f8784bf58c43dab992243690617d092f6bead",
+     "cf54aeef17f03c5cd103a14527f3173e9996b4e33f585916fe45918a72a058bb",
      "f5a2822aa3ab3c4f1c455bab296f7baeb0afcc89febc34101fe8159ca43dd63b"),
     (["--family", "random", "--m", "6", "--seed", "4",
       "--strategy", "lift", "--n", "2"],
      "ea80bb58dc07ed8c356a29184752c184948db7950a25185dc0f2a5d99fc8315a",
-     "60e6748fd0573b5051a5006270a7b739c99be39b139851c31c4e614d79a972f7",
+     "cf23190005e8f18624f6826d27047433756ab95336baa258f8c2bf365e463242",
      "c3d0d2f89e3593dadeb4446cf781ec0f5f9ffc75d69733f99629f51189688c5e"),
     (["--family", "gt", "--m", "5", "--strategy", "lift", "--n", "2"],
      "ac01cc39ff258fc21604cca4ba29f9b7164ffa4e7b04957babd68ca1d3baef8f",
-     "441aed3b43498c867a623ae7506c84d0ab7bff87878775a1e6d661d759f9d1e9",
+     "3b79f970245129d64111d1dc1aa0673344a483b4f308679d427aec6a01f08bc4",
      "be9f530611fce0bfc2122f215da6a206edb8cced24aabd598b335f680baa6c45"),
     (["--family", "ip", "--m", "8", "--strategy", "lift", "--mode", "exact"],
      "c84f4e2fc385dbd9a6587c2a0b72c666cbe440078e8bc05b62f4de03264aec52",
-     "6cc6079d11c26a6828a10335b4c5a4469b8a233c3952a3b1b70ff8e182376452",
+     "68b65f6838f1137a8a60f7fc87c1a45caa6783b31b8d105d4b1d2fb04fd862c3",
      "d41349d39dfd08c0e2fad126c86277b775b2c5ec9d3ddcd749ca6eaf88d69284"),
     (["--family", "eq", "--m", "4", "--mode", "exact"],
      "652632160c222c4adac4476aee16918e76ba73bbb1aa1a1582e7bac2ce1e705d",
-     "257599f7c535cb504ad8e0f96161bab8ddd2e84a7f444d9794796faa2f968358",
+     "91d6b3c3ae9be5d23825c3e8ba6bbb796a61f1563f3ce2c51f322b08eb15c0b8",
      "9feafaec14bcad26e3d849d24ed14f7136454852517dc7c6442ac7456bb67eea"),
 )
 

@@ -256,6 +256,40 @@ def test_max_mono_closures_pinned(monkeypatch, name, m, seed, count):
     assert len(closures) == count
 
 
+def test_max_mono_cap_keeps_the_answer():
+    # A cap at the maximum area, or above it, returns the uncapped
+    # rectangle, ties included.
+    mats = [random_sign(rows, cols, 9000 + 8 * rows + cols)
+            for rows in range(1, 9) for cols in range(1, 9)]
+    mats += [make_family(fam, m) for fam in ("eq", "gt", "and", "xor")
+             for m in range(2, 17)]
+    mats += [make_family("ip", m) for m in (2, 4, 8, 16)]
+    for f in mats:
+        r = max_mono_rectangle(f)
+        for cap in (r.area, r.area + 1):
+            assert max_mono_rectangle(f, cap) == r, (f.label, cap)
+
+
+def test_max_mono_cap_closures_pinned(monkeypatch):
+    # ip16 without its zero row and column has maximum area 9: capped
+    # there, the search stops entering subtrees once it holds the first
+    # rectangle of that area.
+    closures = []
+    closure = rectangles._closure
+
+    def counted(*args):
+        closures.append(None)
+        return closure(*args)
+
+    monkeypatch.setattr(rectangles, "_closure", counted)
+    f = restrict(make_family("ip", 16), range(1, 16), range(1, 16))
+    want = Rectangle((0, 1, 2), (3, 7, 11), color=1)
+    for cap, count in ((None, 378), (9, 12)):
+        closures.clear()
+        assert max_mono_rectangle(f, cap) == want
+        assert len(closures) == count, cap
+
+
 # ----------------------------------------------------------- cover number
 
 def test_cover_constant_is_one():
