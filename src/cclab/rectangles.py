@@ -537,10 +537,9 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
     largest coverage of U, a child with more uncovered cells than those
     cover cannot beat the incumbent and has no children.  It is counted
     as a visit but not entered, so node counts, budget cuts and covers
-    stay those of a search that enters it and prunes it there.  Only the
-    ``seen`` table misses the child's entry, which changes a count only
-    once ``seen`` reaches its cap of 1,000,000 masks, under a budget of
-    over 1,000,000 nodes.
+    are those of a search that enters it and prunes it there.  The memo
+    is the search's one table: a set of uncovered cells that another
+    path reaches again is searched again, pruned by the bounds alone.
 
     Returns (selection, completed): the best selection found (always a
     valid cover of ``universe``, as indices into cell_masks) and whether
@@ -573,7 +572,6 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
             masks[i] |= 1 << bit
     reach = [reduce(or_, map(masks.__getitem__, cands))
              for cands in cand_by_cell]
-    seen = {}  # uncovered mask -> fewest rectangles used to reach it
     branchings = {}  # U & reach[c] -> _undominated of c's candidates
     # (cut, scan) of the root and of each narrowing node on the path:
     # scan holds, as (area, mask) pairs by descending area, every
@@ -593,11 +591,6 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
                 best_size = len(chosen)
                 best_sel = list(chosen)
             return best_size == floor
-        prev = seen.get(uncovered)
-        if prev is not None and prev <= len(chosen):
-            return
-        if len(seen) < 1_000_000:
-            seen[uncovered] = len(chosen)
         # With k = best_size - len(chosen) >= 2 rectangles left to beat
         # the incumbent, ceil(|U| / maxcov) >= k exactly when no
         # rectangle covers t = ceil(|U| / (k - 1)) uncovered cells.  A

@@ -5,9 +5,10 @@ deliberately avoiding the library's own algorithms: rank by Fraction
 Gaussian elimination (vs fraction-free Bareiss), lifts by direct xor
 evaluation (vs Kronecker), fixed families cell by cell (vs numpy
 expressions), rectangles by subset enumeration (vs closure search),
-covers by increasing-size combinations (vs branch and bound), and
-communication complexity by plain memoized recursion (vs the
-canonicalized pruned search).
+covers by increasing-size combinations or, on lifts too large for
+that, by a 0/1 program (vs branch and bound), and communication
+complexity by plain memoized recursion (vs the canonicalized pruned
+search).
 """
 
 from fractions import Fraction
@@ -135,6 +136,47 @@ def brute_min_cover(f: BoolFun) -> int:
             if u == full:
                 return k
     raise AssertionError("no cover found")
+
+
+def milp_min_cover(f: BoolFun) -> int:
+    """Exact cover number as one 0/1 set cover per color over its
+    maximal rectangles, solved by scipy's HiGHS ``milp``.
+
+    A color's maximal rectangles are its closed column sets, each with
+    the rows whose masks hold it.  The closed sets are the intersections
+    of the color's row masks: starting from all columns, each row mask
+    is intersected into every set found so far."""
+    from scipy.optimize import LinearConstraint, milp
+
+    total = 0
+    for color in (1, -1):
+        row_masks = [sum(1 << y for y in range(f.cols)
+                         if f.sign[x, y] == color) for x in range(f.rows)]
+        cells = {(x, y): k for k, (x, y) in enumerate(
+            (x, y) for x in range(f.rows) for y in range(f.cols)
+            if f.sign[x, y] == color)}
+        if not cells:
+            continue
+        closed = {(1 << f.cols) - 1}
+        for r in row_masks:
+            closed |= {b & r for b in closed}
+        rects = []
+        for b in closed:
+            rows = [x for x, r in enumerate(row_masks) if b and r & b == b]
+            if rows:
+                rects.append((rows, [y for y in range(f.cols) if b >> y & 1]))
+        holds = np.zeros((len(cells), len(rects)))
+        for j, (rows, cols) in enumerate(rects):
+            for x in rows:
+                for y in cols:
+                    holds[cells[x, y], j] = 1
+        ones = np.ones(len(rects))
+        res = milp(ones, constraints=LinearConstraint(holds, lb=1),
+                   integrality=ones, bounds=(0, 1))
+        if res.status != 0:
+            raise AssertionError(f"milp found no optimum: {res.message}")
+        total += round(res.fun)
+    return total
 
 
 def brute_cc(f: BoolFun) -> int:

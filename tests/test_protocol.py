@@ -358,8 +358,11 @@ def _new_dicts(run):
 def test_searches_free_their_tables_on_return():
     # Their recursive closures form reference cycles, which would keep
     # the memo and candidate tables until the cyclic collector runs.
+    # The cover search's one table is its branching memo: on random
+    # 10x10 seed 0 the two colors' memos hold 44 and 201 entries.
     assert _new_dicts(lambda: exact_cc(make_family("random", 6, seed=54))) == []
-    assert _new_dicts(lambda: cover_number(make_family("eq", 6))) == []
+    assert _new_dicts(
+        lambda: cover_number(make_family("random", 10, seed=0))) == []
 
 
 def test_calls_leave_no_cyclic_garbage():

@@ -393,7 +393,7 @@ def test_cover_search_counts_every_visit():
     assert cut.status == BOUNDS
     lift = xor_power(make_family("random", 3, seed=6), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 880)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 974)
     eq4sq = xor_power(make_family("eq", 4), 2)
     res = cover_number(eq4sq, limits=SearchLimits(node_budget=30000,
                                                   rect_budget=100000))
@@ -403,17 +403,17 @@ def test_cover_search_counts_every_visit():
     res = cover_number(gt3cube, limits=SearchLimits(node_budget=3000,
                                                     rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
-        BOUNDS, 19, 56, 3002)
+        BOUNDS, 19, 57, 3002)
     keys = repr([r.key() for r in res.cover]).encode()
     assert hashlib.sha256(keys).hexdigest() == (
-        "0da479c92a218aacd40ac98d2a5a2eb37e31e7b66e1fe18864ec63db9ffe50f5")
+        "0c7ffe8a9d1fb331e127dc417218e8442415bb50f00fd2851197a3ee8a29be4f")
     # A node filters the nearest list cut at a threshold no higher than
     # its own.  Filtering its parent's list whatever its cut, or keeping
     # only the rectangles above the threshold, drops rectangles a node
     # needs, and seed 12 then claims an exact 17 or 18.
     lift = xor_power(make_family("random", 3, seed=12), 3)
     res = cover_number(lift)
-    assert (res.status, res.value, res.nodes) == (EXACT, 16, 5587)
+    assert (res.status, res.value, res.nodes) == (EXACT, 16, 6752)
     lift = xor_power(make_family("random", 4, seed=27), 2)
     res = cover_number(lift, limits=SearchLimits(node_budget=3000,
                                                  rect_budget=100000))
@@ -422,7 +422,7 @@ def test_cover_search_counts_every_visit():
 
 
 def test_cover_search_filters_each_branching_once(monkeypatch):
-    # gt4^2 branches 9,429 times at this budget, on 1,386 distinct sets
+    # gt4^2 branches 9,368 times at this budget, on 1,341 distinct sets
     # of uncovered cells within the branch cell's reach, whose lowest
     # cell is the branch cell: the dominance filter runs once for each.
     calls = []
@@ -437,7 +437,7 @@ def test_cover_search_filters_each_branching_once(monkeypatch):
                                                   rect_budget=100000))
     assert (res.status, res.lower, res.upper, res.nodes) == (
         BOUNDS, 16, 28, 30002)
-    assert len(calls) == 1386
+    assert len(calls) == 1341
 
 
 def test_cover_results_pinned():
@@ -461,7 +461,7 @@ def test_cover_results_pinned():
         digest.update(repr((res.status, res.lower, res.upper, res.nodes,
                             [(r.key(), r.color) for r in res.cover])).encode())
     assert digest.hexdigest() == (
-        "25484acb2f58ea74b4c20bf437354610dd33d588c3c1bb63c6b18a8679b2e277")
+        "c60590058af9869545a92cfda2572e82795f316ebcfbfd69650e2032e38c0a63")
 
 
 def test_cover_bounds_hold_the_brute_force_cover():
@@ -507,10 +507,10 @@ def test_cover_search_ends_in_few_nodes():
     # A node branches on its uncovered cell that the fewest rectangles
     # hold and enters the children by descending coverage of its
     # uncovered cells: eq8 and eq9 reach their floors in 7 and 5,455
-    # nodes, and random 10x10 seed 0 proves its 18 (floor 13) in 1,256.
+    # nodes, and random 10x10 seed 0 proves its 18 (floor 13) in 1,279.
     for f, value, nodes in ((make_family("eq", 8), 13, 7),
                             (make_family("eq", 9), 14, 5455),
-                            (make_family("random", 10, seed=0), 18, 1256)):
+                            (make_family("random", 10, seed=0), 18, 1279)):
         res = cover_number(f)
         assert (res.status, res.value, res.nodes) == (EXACT, value, nodes)
 
@@ -545,7 +545,6 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
     cand_by_cell = {c: [i for i in by_size if cell_masks[i] >> c & 1]
                     for c in cells}
     cell_order = sorted(cells, key=lambda c: (len(cand_by_cell[c]), c))
-    seen = {}
 
     def rec(uncovered, chosen):
         nonlocal best_sel, best_size
@@ -557,11 +556,6 @@ def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
             return best_size == floor
         if len(chosen) + 1 >= best_size:
             return
-        prev = seen.get(uncovered)
-        if prev is not None and prev <= len(chosen):
-            return
-        if len(seen) < 1_000_000:
-            seen[uncovered] = len(chosen)
         t = -(-uncovered.bit_count() // (best_size - len(chosen) - 1))
         for area, m in sized:
             if area < t:
@@ -625,7 +619,7 @@ def test_cover_bound_stages_decide_alike(head, monkeypatch):
     monkeypatch.setattr(rectangles, "_exact_color_cover",
                         _full_scan_color_cover)
     want = [cover_number(f, limits=lim) for f, lim in cases]
-    assert want[2].nodes == 4470
+    assert want[2].nodes == 6143
     assert got == want
 
 
@@ -643,8 +637,8 @@ def test_cover_bound_stages_decide_alike_on_random(monkeypatch):
 def test_cover_search_frees_its_arrays_on_return():
     # rec holds itself in its closure until the search breaks the cycle
     # on return; with the cyclic collector held off, a cycle left in
-    # place keeps every table of the search: about 4.2 MB at 500 nodes
-    # on gt3^3.  The call keeps about 45 KB net: index_bits tuples
+    # place keeps every table of the search: about 0.55 MB at 500 nodes
+    # on gt3^3.  The call keeps about 22 KB net: index_bits tuples
     # parked on CPython's tuple free lists, which nothing references.
     gt3cube = xor_power(make_family("gt", 3), 3)
     limits = SearchLimits(node_budget=500, rect_budget=100000)
