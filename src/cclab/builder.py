@@ -198,6 +198,8 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
+        raise ValueError(f"unknown strategy {strategy!r}")
     row_classes, col_classes = classes(f)
     reps_r = [cls[0] for cls in row_classes]
     reps_c = [cls[0] for cls in col_classes]

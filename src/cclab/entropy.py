@@ -4,8 +4,14 @@ The extraction takes a monochromatic rectangle R of a lifted function
 f^(+n) and produces a monochromatic rectangle T of the base f with a
 certified size: (4|T|)**n >= |R|, checked in exact integer arithmetic.
 
-The selection stages (coordinate, prefix/suffix, parity bits) are
-greedy maximizations of conditional entropies evaluated in double
+R's indices are decoded once.  The lift's signs on R, checked on
+entry, are the products of f's signs at the decoded coordinates, so
+the lift is never built; the stages read the same coordinates as base
+n-tuples.  Each selection stage (coordinate, prefix/suffix, parity
+bits) groups one side's tuples by what it fixes and counts coordinate
+i in each group (``_groups``): stages 1 and 2 by the x-prefix x_<i or
+the y-suffix y_>i, stage 3 the tuples of the chosen prefix or suffix
+by their parity bit.  The stages are greedy maximizations of conditional entropies evaluated in double
 precision; because each greedy maximum dominates the corresponding
 average, the size guarantee is preserved no matter which near-tied
 witness the float comparison picks, and the final certificate is
@@ -76,21 +82,17 @@ class ExtractionCertificate:
     stage3_entropy: float        # H(X_i Y_i | x_<i, y_>i, u, v)
 
 
-def _side_groups(tuples, i, prefix_side):
-    """Group tuples by their fixed part and count the i-th coordinate.
-
-    prefix_side=True groups x-tuples by x_<i; otherwise y-tuples by y_>i.
-    Returns {fixed_part: Counter(coordinate_value)}.
-    """
+def _groups(tuples, i, key):
+    """Group tuples by key(t) and count the i-th coordinate in each
+    group: {key(t): Counter(t[i])}."""
     groups = defaultdict(Counter)
     for t in tuples:
-        fixed = t[:i] if prefix_side else t[i + 1:]
-        groups[fixed][t[i]] += 1
+        groups[key(t)][t[i]] += 1
     return groups
 
 
 def _grouped_cond_entropy(groups) -> float:
-    """H(coordinate | fixed part) from _side_groups output."""
+    """H(coordinate | key) from _groups output."""
     total = sum(sum(c.values()) for c in groups.values())
     h = 0.0
     for counter in groups.values():
@@ -106,25 +108,15 @@ def _best_group(groups):
                             for key, c in sorted(groups.items()))
 
 
-def _decode(indices, radix: int, n: int) -> list:
-    """Base n-tuples of lifted indices, first coordinate most significant."""
-    coords = np.unravel_index(indices, (radix,) * n)
-    return list(zip(*(c.tolist() for c in coords)))
+def _decode(indices, radix: int, n: int) -> tuple:
+    """The n coordinate arrays of lifted indices, first coordinate most
+    significant."""
+    return np.unravel_index(indices, (radix,) * n)
 
 
-def _lift_signs(f: BoolFun, n: int, R: Rectangle) -> np.ndarray:
-    """The signs of the lift f^(+n) on R, read from f without building
-    the lift: a lifted cell's sign is the product of f's signs at its
-    decoded base cells."""
-    check_lift(f, n)
-    if (R.row_set[0] < 0 or R.col_set[0] < 0
-            or R.row_set[-1] >= f.rows ** n or R.col_set[-1] >= f.cols ** n):
-        raise ValueError("rectangle indices out of range")
-    sub = np.ones((len(R.row_set), len(R.col_set)), dtype=np.int8)
-    for xs, ys in zip(np.unravel_index(R.row_set, (f.rows,) * n),
-                      np.unravel_index(R.col_set, (f.cols,) * n)):
-        sub *= f.sign[np.ix_(xs, ys)]
-    return sub
+def _xor(f: BoolFun, xs, ys) -> int:
+    """The xor of f over the pairs of xs and ys; 0 when there are none."""
+    return sum(map(f.f_value, xs, ys)) % 2
 
 
 def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
@@ -138,7 +130,15 @@ def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
     returning; a failure there raises InvariantError and is itself a
     bug.
     """
-    sub = _lift_signs(f, n, R)
+    check_lift(f, n)
+    if (R.row_set[0] < 0 or R.col_set[0] < 0
+            or R.row_set[-1] >= f.rows ** n or R.col_set[-1] >= f.cols ** n):
+        raise ValueError("rectangle indices out of range")
+    x_coords = _decode(R.row_set, f.rows, n)
+    y_coords = _decode(R.col_set, f.cols, n)
+    sub = np.ones((len(R.row_set), len(R.col_set)), dtype=np.int8)
+    for xc, yc in zip(x_coords, y_coords):
+        sub *= f.sign[np.ix_(xc, yc)]
     color = int(sub[0, 0])
     if not np.all(sub == color):
         i, j = divmod(int(np.argmax(sub != color)), sub.shape[1])
@@ -149,42 +149,33 @@ def extract_rectangle(f: BoolFun, n: int, R: Rectangle):
     if R.color not in (None, color):
         raise ValueError(f"rectangle is stated as color {R.color:+d}, but "
                          f"the lift has sign {color:+d} on it")
-    xs = _decode(R.row_set, f.rows, n)
-    ys = _decode(R.col_set, f.cols, n)
+    xs = list(zip(*(c.tolist() for c in x_coords)))
+    ys = list(zip(*(c.tolist() for c in y_coords)))
 
-    # Stage 1: pick the coordinate with maximal H(X_i Y_i | X_<i Y_>i).
-    # X and Y are independent across a rectangle, so the conditional
-    # entropy splits into an X part and a Y part.
-    coord_h = [_grouped_cond_entropy(_side_groups(xs, i, True))
-               + _grouped_cond_entropy(_side_groups(ys, i, False))
-               for i in range(n)]
+    # Stage 1: pick the coordinate with maximal H(X_i Y_i | X_<i Y_>i),
+    # grouping x-tuples by x_<i and y-tuples by y_>i.  X and Y are
+    # independent across a rectangle, so the conditional entropy splits
+    # into an X part and a Y part.
+    x_groups = [_groups(xs, i, lambda t: t[:i]) for i in range(n)]
+    y_groups = [_groups(ys, i, lambda t: t[i + 1:]) for i in range(n)]
+    coord_h = [_grouped_cond_entropy(gx) + _grouped_cond_entropy(gy)
+               for gx, gy in zip(x_groups, y_groups)]
     i_star, _ = _argmax_tied_lex(enumerate(coord_h))
 
     # Stage 2: pick the fixed prefix/suffix maximizing the conditional
     # entropy.  The objective separates, so maximize each side alone.
-    p_star, hx2 = _best_group(_side_groups(xs, i_star, True))
-    s_star, hy2 = _best_group(_side_groups(ys, i_star, False))
+    p_star, hx2 = _best_group(x_groups[i_star])
+    s_star, hy2 = _best_group(y_groups[i_star])
     stage2 = hx2 + hy2
 
-    # Stage 3: inside the chosen groups, condition on the parity bits
-    # u (xor of f over the fixed x-prefix against the random y-coords)
-    # and v (xor of f over the random x-coords against the fixed
-    # y-suffix).  Empty xors at the boundaries are fixed to 0.
-    by_v = defaultdict(Counter)
-    for t in xs:
-        if t[:i_star] == p_star:
-            v_bit = 0
-            for x, y in zip(t[i_star + 1:], s_star):
-                v_bit ^= f.f_value(x, y)
-            by_v[v_bit][t[i_star]] += 1
-    by_u = defaultdict(Counter)
-    for t in ys:
-        if t[i_star + 1:] == s_star:
-            u_bit = 0
-            for x, y in zip(p_star, t):
-                u_bit ^= f.f_value(x, y)
-            by_u[u_bit][t[i_star]] += 1
-
+    # Stage 3: group the tuples of the chosen prefix (suffix) by the
+    # parity bit v (u): the xor of f over the random x-coords against
+    # the fixed y-suffix (the fixed x-prefix against the random
+    # y-coords).  Empty xors at the boundaries are 0.
+    by_v = _groups([t for t in xs if t[:i_star] == p_star], i_star,
+                   lambda t: _xor(f, t[i_star + 1:], s_star))
+    by_u = _groups([t for t in ys if t[i_star + 1:] == s_star], i_star,
+                   lambda t: _xor(f, p_star, t))
     v_star, hx3 = _best_group(by_v)
     u_star, hy3 = _best_group(by_u)
     stage3 = hx3 + hy3

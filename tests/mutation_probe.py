@@ -71,10 +71,18 @@ MUTANTS = (
      '        raise ValueError("rank must be >= 1")\n', "        pass\n", CAUGHT,
      "tests/test_builder.py::test_budget_helpers_refuse_values_below_one"),
     ("strategy_unraised", "src/cclab/builder.py",
+     '    """\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
      '        raise ValueError(f"unknown strategy {strategy!r}")\n',
+     '    """\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
      "        pass\n", CAUGHT,
      "tests/test_builder.py::"
      "test_find_big_rectangle_refuses_an_unknown_strategy"),
+    ("build_strategy_unraised", "src/cclab/builder.py",
+     '>= 1")\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
+     '        raise ValueError(f"unknown strategy {strategy!r}")\n',
+     '>= 1")\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
+     "        pass\n", CAUGHT,
+     "tests/test_builder.py::test_build_refuses_an_unknown_strategy"),
     ("area_guarantee_boundary", "src/cclab/builder.py",
      "cover_value >= cells ** n\n", "cover_value >= cells ** n - 1\n",
      CAUGHT,
@@ -132,6 +140,10 @@ MUTANTS = (
      "return 0 if cc.exact and cov.exact else 2",
      "return 0 if cc.exact and cov.exact else 0", CAUGHT,
      "tests/test_cli.py::test_measure_inconclusive_exit_2"),
+    ("extract_parity_not_mod2", "src/cclab/entropy.py",
+     "return sum(map(f.f_value, xs, ys)) % 2\n",
+     "return sum(map(f.f_value, xs, ys))\n", CAUGHT,
+     "tests/test_entropy.py::test_extract_end_to_end_all_2x2"),
     ("extraction_boundary", "src/cclab/entropy.py",
      "if (4 * t_size) ** n < R.area:", "if (4 * t_size) ** n < R.area - 1:",
      CAUGHT,

@@ -216,6 +216,17 @@ def test_build_n_below_one_is_refused():
         build_protocol(make_family("eq", 2), 0)
 
 
+def test_build_refuses_an_unknown_strategy():
+    # eq2 deduplicates to a low-rank block that never asks for a
+    # rectangle, so the strategy is checked on entry, not on first use.
+    for m in (2, 8):
+        with pytest.raises(ValueError) as err:
+            build_protocol(make_family("eq", m), 1, strategy="bogus")
+        assert str(err.value) == "unknown strategy 'bogus'"
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        theorem_report(make_family("eq", 2), 1, strategy="bogus")
+
+
 def test_build_eq4_low_rank_base():
     eq4 = make_family("eq", 4)
     tree, trace = build_protocol(eq4, 1)

@@ -174,7 +174,7 @@ def _check_product_support(f, n, r, t, cert):
 
 def test_extract_end_to_end_all_2x2():
     for f in all_sign_matrices(2, 2):
-        for n in (1, 2):
+        for n in (1, 2, 3):
             _exhaustive_extract_checks(f, n)
 
 
@@ -188,5 +188,5 @@ def test_extract_end_to_end_sampled_3x3():
 def test_extract_rectangular_base():
     for seed in range(10):
         f = random_sign(2, 3, 2500 + seed)
-        for n in (1, 2):
+        for n in (1, 2, 3):
             _exhaustive_extract_checks(f, n)
