@@ -132,6 +132,11 @@ def _area_guarantee(area: int, cells: int, cover_value: int, n: int) -> bool:
     return (4 * area) ** n * cover_value >= cells ** n
 
 
+def _check_strategy(strategy: str) -> None:
+    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
+        raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
                        cap: int | None = None) -> Rectangle:
     """A large monochromatic rectangle of f.
@@ -145,8 +150,7 @@ def find_big_rectangle(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     that search (``max_mono_rectangle``); the lift's rectangles are not
     bounded by it, so the lift strategy ignores it.
     """
-    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy)
     if strategy == DIRECT_MAX:
         return max_mono_rectangle(f, cap)
     try:
@@ -198,8 +202,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _check_strategy(strategy)
     row_classes, col_classes = classes(f)
     reps_r = [cls[0] for cls in row_classes]
     reps_c = [cls[0] for cls in col_classes]
@@ -322,6 +325,7 @@ def theorem_report(f: BoolFun, n: int, limits: SearchLimits | None = None,
     bound vacuous and sets the degenerate flag.  exact holds when both D
     and C are exact."""
     check_lift(f, n)  # before the searches: the cover below lifts f
+    _check_strategy(strategy)
     limits = limits or SearchLimits()
     cc = exact_cc(f, limits)
     cov = cover_number(xor_power(f, n), EXACT, limits)

@@ -20,6 +20,8 @@ one mask-to-indices decoder.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from .errors import CapacityError, ParseError, parse_count
@@ -279,11 +281,26 @@ def distinct_col_count(f: BoolFun) -> int:
     return len(classes(f)[1])
 
 
+def _as_index(v) -> int:
+    try:
+        if not isinstance(v, bool):
+            return index(v)
+    except TypeError:
+        pass
+    raise ValueError(f"index must be an integer, got {v!r}")
+
+
+def sorted_indices(values) -> tuple:
+    """The distinct indices in ``values``, ascending.  Each must be an
+    integer (numpy integers too) and not a bool: else ValueError."""
+    return tuple(sorted(set(map(_as_index, values))))
+
+
 def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:
     """The sub-function on row_subset x col_subset (each sorted and
     deduplicated)."""
-    rows = sorted(set(int(r) for r in row_subset))
-    cols = sorted(set(int(c) for c in col_subset))
+    rows = sorted_indices(row_subset)
+    cols = sorted_indices(col_subset)
     if not rows or not cols:
         raise ValueError("restriction subsets must be non-empty")
     if rows[0] < 0 or rows[-1] >= f.rows or cols[0] < 0 or cols[-1] >= f.cols:

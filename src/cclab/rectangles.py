@@ -37,9 +37,12 @@ Masks inside, Rectangles at the boundary: the searches read each
 color's Python integer bitmasks from ``BoolFun.masks(color)``, so no
 search knows which sign is f = 1, and handle a rectangle as its (row
 mask, col mask) pair, in the set cover also as its cell mask (bit x *
-cols + y, renumbered inside the exact search).  Only what a caller
-sees, the enumerated rectangles and the chosen cover, becomes
-Rectangles of sorted index tuples.
+cols + y, renumbered inside the exact search).  The enumeration decodes
+each rectangle's two masks into sorted index tuples once, as it finds
+it; the cell masks, the exact search's lists of the rectangles holding
+each cell (over the rows times the columns) and the Rectangles a caller
+sees, the enumerated ones and the chosen cover, are built from those
+tuples.
 ``validate_cover`` shares none of the search's masks: it packs the
 signs into row masks of its own, checks each rectangle row by row
 against them and ORs its columns into each of its rows' coverage.
@@ -62,7 +65,7 @@ import numpy as np
 from .errors import InvariantError, ParseError, parse_count
 from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
                      SearchLimits, SearchResult)
-from .matrix import BoolFun, index_bits, row_bits
+from .matrix import BoolFun, index_bits, row_bits, sorted_indices
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class Rectangle:
     color: int | None = None
 
     def __post_init__(self):
-        rows = tuple(sorted(set(int(r) for r in self.row_set)))
-        cols = tuple(sorted(set(int(c) for c in self.col_set)))
+        rows = sorted_indices(self.row_set)
+        cols = sorted_indices(self.col_set)
         if not rows or not cols:
             raise ValueError("rectangle sides must be non-empty")
         if rows[0] < 0 or cols[0] < 0:
@@ -184,22 +187,22 @@ def _mask_lt(p: int, q: int) -> bool:
 
 
 def _maximal_masks(f: BoolFun, budget: int) -> tuple:
-    """Each color's closed rectangles, {color: [(row mask, col mask)]}
-    with each list in ``Rectangle.key`` order, and the truncated flag:
-    if more than ``budget`` exist, the first ``budget`` found, color +1
-    first.  A closed rectangle's rows fix its columns, so no two of one
-    color share a row set, and sorting by the rows alone gives that
-    order."""
+    """Each color's closed rectangles, {color: [(rows, cols, col mask)]}
+    with rows and cols their index tuples, decoded once here, and each
+    list in ``Rectangle.key`` order, and the truncated flag: if more
+    than ``budget`` exist, the first ``budget`` found, color +1 first.
+    A closed rectangle's rows fix its columns, so no two of one color
+    share a row set, and sorting compares the rows alone."""
     found = {1: [], -1: []}
-    for color, pairs in found.items():
+    for color, rects in found.items():
         def collect(a, b):
             if len(found[1]) + len(found[-1]) >= budget:
                 return True
-            pairs.append((a, b))
+            rects.append((index_bits(a), index_bits(b), b))
             return False
 
         truncated = _close_by_one(f.masks(color)[1], f.rows, collect)
-        pairs.sort(key=lambda p: index_bits(p[0]))
+        rects.sort()
         if truncated:
             break
     return found, truncated
@@ -213,8 +216,8 @@ def enumerate_maximal_mono(
     if budget < 1:
         raise ValueError("budget must be positive")
     found, truncated = _maximal_masks(f, budget)
-    rects = [Rectangle(index_bits(a), index_bits(b), color=color)
-             for color, pairs in found.items() for a, b in pairs]
+    rects = [Rectangle(rows, cols, color=color)
+             for color, sides in found.items() for rows, cols, _ in sides]
     rects.sort(key=Rectangle.key)
     return EnumerationResult(rects=tuple(rects), truncated=truncated)
 
@@ -444,23 +447,26 @@ def cover_number(f: BoolFun, mode: str = EXACT,
     cover = []
     lower = 0
     exact = search
-    for color, pairs in found.items():
+    width = f.cols
+    for color, sides in found.items():
         row_cols = f.masks(color)[0]
-        cell_masks = [sum(b << x * f.cols for x in index_bits(a))
-                      for a, b in pairs]
+        cell_masks = [sum(b << x * width for x in rows)
+                      for rows, _, b in sides]
         held = reduce(or_, cell_masks, 0)
-        cells = sum(m << (x * f.cols) for x, m in enumerate(row_cols))
+        cells = sum(m << (x * width) for x, m in enumerate(row_cols))
         floor = max(_fooling_cells(f, color).bit_count(),
                     _antichain_floor(f, color))
         chosen = _greedy_cover(cell_masks, held)
-        extra = _closed_rows(row_cols, cells & ~held, f.cols)
+        extra = _closed_rows(row_cols, cells & ~held, width)
         done = False
         if search:  # the enumeration is complete: held is all the cells
-            chosen, done = _exact_color_cover(held, cell_masks, chosen,
-                                              floor, meter)
+            chosen, done = _exact_color_cover(held, cell_masks, sides, width,
+                                              chosen, floor, meter)
             exact = exact and done
+        cover += [Rectangle(rows, cols, color=color)
+                  for rows, cols, _ in map(sides.__getitem__, chosen)]
         cover += [Rectangle(index_bits(a), index_bits(b), color=color)
-                  for a, b in [pairs[i] for i in chosen] + extra]
+                  for a, b in extra]
         lower += len(chosen) if done else floor
 
     cover = tuple(sorted(cover, key=Rectangle.key))
@@ -497,9 +503,12 @@ def _undominated(covs) -> list:
     return kept
 
 
-def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
+def _exact_color_cover(universe, cell_masks, sides, width, incumbent,
+                       floor, meter):
     """Branch-and-bound set cover of one color class by the rectangles
-    with the cell masks ``cell_masks``.
+    with the cell masks ``cell_masks``, cell (x, y) at bit x * width +
+    y, and the rows and columns ``sides[i] = (rows, cols, _)`` as index
+    tuples.
 
     ``floor`` lower-bounds every cover's size, and is at least 1 when
     ``universe`` has cells: the search returns at the root when the
@@ -519,10 +528,12 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
     a rectangle covers no more of a child's cells than of U.  It filters
     the list of its nearest ancestor cut at a threshold no higher than
     t_min, which holds every such rectangle, since U lies inside that
-    ancestor's cells.  The root numbers the cells in branching order,
-    the cells that the fewest rectangles hold first, ties by index (the
-    fewest-options rule of Knuth's "Dancing Links"), and rewrites every
-    mask in that numbering.  A node branches on the rectangles through
+    ancestor's cells.  The root lists each cell's rectangles from every
+    rectangle's rows times its columns, decoding no rectangle's mask,
+    numbers the cells in branching order, the cells that the fewest
+    rectangles hold first, ties by index (the fewest-options rule of
+    Knuth's "Dancing Links"), and rewrites every mask in that
+    numbering.  A node branches on the rectangles through
     its lowest uncovered bit c, minus those whose coverage of U is
     dominated by another's: the other is always at least as good.  It
     enters them as ``_undominated`` returns them, by descending coverage
@@ -561,8 +572,10 @@ def _exact_color_cover(universe, cell_masks, incumbent, floor, meter):
                      key=lambda i: (-cell_masks[i].bit_count(), i))
     holders = {cell: [] for cell in index_bits(universe)}
     for i in by_size:
-        for cell in index_bits(cell_masks[i]):
-            holders[cell].append(i)
+        rows, cols, _ = sides[i]
+        for x in rows:
+            for y in cols:
+                holders[x * width + y].append(i)
     # Bit b of masks is the cell whose candidates are cand_by_cell[b];
     # sorted is stable, so ties keep the index order.
     cand_by_cell = sorted(holders.values(), key=len)

@@ -71,18 +71,16 @@ MUTANTS = (
      '        raise ValueError("rank must be >= 1")\n', "        pass\n", CAUGHT,
      "tests/test_builder.py::test_budget_helpers_refuse_values_below_one"),
     ("strategy_unraised", "src/cclab/builder.py",
-     '    """\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
-     '        raise ValueError(f"unknown strategy {strategy!r}")\n',
-     '    """\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
-     "        pass\n", CAUGHT,
+     '    """\n    _check_strategy(strategy)\n', '    """\n', CAUGHT,
      "tests/test_builder.py::"
      "test_find_big_rectangle_refuses_an_unknown_strategy"),
     ("build_strategy_unraised", "src/cclab/builder.py",
-     '>= 1")\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
-     '        raise ValueError(f"unknown strategy {strategy!r}")\n',
-     '>= 1")\n    if strategy not in (DIRECT_MAX, LIFT_EXTRACT):\n'
-     "        pass\n", CAUGHT,
+     '>= 1")\n    _check_strategy(strategy)\n', '>= 1")\n', CAUGHT,
      "tests/test_builder.py::test_build_refuses_an_unknown_strategy"),
+    ("report_strategy_late", "src/cclab/builder.py",
+     "lifts f\n    _check_strategy(strategy)\n", "lifts f\n", CAUGHT,
+     "tests/test_builder.py::"
+     "test_report_refuses_an_unknown_strategy_before_searching"),
     ("area_guarantee_boundary", "src/cclab/builder.py",
      "cover_value >= cells ** n\n", "cover_value >= cells ** n - 1\n",
      CAUGHT,
@@ -191,6 +189,10 @@ MUTANTS = (
      '        raise StructureError(f"not a tree node: {node!r}")\n',
      "        pass\n", CAUGHT,
      "tests/test_protocol.py::test_structure_non_node_is_structure_error"),
+    ("index_bool_taken", "src/cclab/matrix.py",
+     "if not isinstance(v, bool):", "if True:", CAUGHT,
+     "tests/test_matrix.py::"
+     "test_restrict_refuses_an_index_that_is_not_an_integer"),
     ("cell_cap_boundary", "src/cclab/matrix.py",
      "    if cells > DESK_CELL_CAP:\n", "    if cells >= DESK_CELL_CAP:\n",
      CAUGHT, "tests/test_cli.py::test_protocol_file_over_cap_is_user_error"),
@@ -227,6 +229,9 @@ MUTANTS = (
      "for j, cov, covered in kept:",
      "for j, cov, covered in sorted(kept, key=lambda k: k[2]):", CAUGHT,
      "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
+    ("cover_holders_transposed", "src/cclab/rectangles.py",
+     "holders[x * width + y].append(i)", "holders[y * width + x].append(i)",
+     CAUGHT, "tests/test_rectangles.py::test_cover_results_pinned"),
     ("cover_branch_cells_crowded_first", "src/cclab/rectangles.py",
      "cand_by_cell = sorted(holders.values(), key=len)",
      "cand_by_cell = sorted(holders.values(), key=len, reverse=True)", CAUGHT,

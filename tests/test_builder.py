@@ -7,6 +7,7 @@ from cclab import (BoolFun, CapacityError, InvariantError, Rectangle,
                    evaluate, exact_cc, leaf_budget, make_family,
                    max_mono_rectangle, rank, rank_step_budget, restrict,
                    shrink_step_budget, theorem_report, verify, xor_power)
+from cclab import builder
 from cclab.builder import (ALICE_SENDS, BOB_SENDS, DIRECT_MAX, LIFT_EXTRACT,
                            BuildStep, BuildTrace, _area_guarantee,
                            _ceil_nth_root, choose_split, find_big_rectangle)
@@ -225,6 +226,17 @@ def test_build_refuses_an_unknown_strategy():
         assert str(err.value) == "unknown strategy 'bogus'"
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         theorem_report(make_family("eq", 2), 1, strategy="bogus")
+
+
+def test_report_refuses_an_unknown_strategy_before_searching(monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("searched before checking the strategy")
+
+    monkeypatch.setattr(builder, "exact_cc", searched)
+    monkeypatch.setattr(builder, "cover_number", searched)
+    with pytest.raises(ValueError) as err:
+        theorem_report(make_family("eq", 8), 2, strategy="bogus")
+    assert str(err.value) == "unknown strategy 'bogus'"
 
 
 def test_build_eq4_low_rank_base():

@@ -304,6 +304,21 @@ def test_restrict_errors():
         restrict(f, [0], [3])
 
 
+@pytest.mark.parametrize("bad", [0.9, 2.0, "1", True, np.True_])
+def test_restrict_refuses_an_index_that_is_not_an_integer(bad):
+    f = make_family("eq", 4)
+    for sides in ([0, bad], [3]), ([0], [bad]):
+        with pytest.raises(ValueError) as err:
+            restrict(f, *sides)
+        assert str(err.value) == f"index must be an integer, got {bad!r}"
+
+
+def test_restrict_takes_numpy_integers():
+    f = random_sign(4, 5, 3)
+    sub = restrict(f, np.array([2, 0]), [np.int64(4), np.uint8(1)])
+    assert np.array_equal(sub.sign, f.sign[np.ix_([0, 2], [1, 4])])
+
+
 # ---------------------------------------------------------------- BoolFun
 
 def test_boolfun_validation_and_immutability():

@@ -61,6 +61,20 @@ def test_rectangle_validation():
     assert r.row_set == (0, 2) and r.area == 2
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, "3", True, np.True_])
+def test_rectangle_refuses_an_index_that_is_not_an_integer(bad):
+    for sides in ((bad, 0), (1,)), ((1,), (0, bad)):
+        with pytest.raises(ValueError) as err:
+            Rectangle(*sides)
+        assert str(err.value) == f"index must be an integer, got {bad!r}"
+
+
+def test_rectangle_takes_numpy_integers():
+    r = Rectangle(np.array([2, 0], dtype=np.int64), (np.uint8(1),))
+    assert r.key() == ((0, 2), (1,))
+    assert all(type(i) is int for i in r.row_set + r.col_set)
+
+
 # ----------------------------------------------------------- enumeration
 
 def test_enumerate_constant_single_rect():
@@ -528,7 +542,8 @@ def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
         BOUNDS, 13, 14, 7)
 
 
-def _full_scan_color_cover(universe, cell_masks, incumbent, floor, meter):
+def _full_scan_color_cover(universe, cell_masks, sides, width, incumbent,
+                           floor, meter):
     """The color's cover search with no narrowing, no memo and no
     renumbering: every node tests the coverage bound on the whole
     size-sorted list of the rectangles, walks the cells in branching
@@ -654,6 +669,25 @@ def test_cover_search_frees_its_arrays_on_return():
         tracemalloc.stop()
         gc.enable()
     assert net < 60_000
+
+
+@pytest.mark.parametrize("f", [
+    xor_power(make_family("random", 3, seed=6), 3), make_family("eq", 8)])
+def test_cover_decodes_each_rectangle_once(f, monkeypatch):
+    # Each enumerated rectangle's rows and columns are decoded once; the
+    # cover search and the output Rectangles reuse those tuples.  Per
+    # color, two more decodes: the stray cells and the exact search's
+    # cells.
+    rects = len(enumerate_maximal_mono(f).rects)
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return index_bits(mask)
+
+    monkeypatch.setattr(rectangles, "index_bits", counted)
+    assert cover_number(f).exact
+    assert len(calls) <= 2 * rects + 2 * 2
 
 
 def _undominated_pairwise(covs):
@@ -851,7 +885,7 @@ def test_validate_cover_matches_the_grid_reference():
 
 
 def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
-    def short(universe, cell_masks, incumbent, floor, meter):
+    def short(universe, cell_masks, sides, width, incumbent, floor, meter):
         return incumbent[:-1], True  # eq4's greedy covers are minimal
 
     monkeypatch.setattr(rectangles, "_exact_color_cover", short)
