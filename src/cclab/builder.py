@@ -5,11 +5,12 @@ subfunction (directly, or through the lift-and-extract pipeline), use
 the rank split to decide which player announces consistency with R,
 and recurse into the stacked block containing R (rank drops to at most
 (rk+3)/2) or its complement (the input space shrinks).  The base
-case: rank < 5, via the distinct-row protocol (at most 16 row classes,
-hence at most 32 leaves).  A block of one cell is only ever the root,
-since each child of a split keeps a whole side of a block of rank >= 5,
-and the base case answers it with one leaf.  In direct mode a child's
-maximum-rectangle search is capped by the area its parent split on.
+case, ``_class_tree``: rank < 5, via the distinct-row protocol (at most
+16 row classes, hence at most 32 leaves).  A block of one cell is only
+ever the root, since each child of a split keeps a whole side of a
+block of rank >= 5, and the base case answers it with one leaf.  In
+direct mode a child's maximum-rectangle search is capped by the area
+its parent split on.
 
 Rows and columns are deduplicated once at the top, which caps the cell
 count at 2**(2*rank) and makes the shrink-step budget checkable; that
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError, InvariantError, as_int
 from .limits import SearchLimits
 from .matrix import BoolFun, check_lift, classes, rank, restrict, xor_power
 from .protocol import (ALICE, BOB, Leaf, Node, ProtocolTree, balance,
@@ -200,6 +201,7 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     child's search; the root, and every block in lift mode, whose
     rectangle is not a maximum, is searched without a cap.
     """
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_strategy(strategy)
@@ -214,22 +216,6 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
 
     steps = []
 
-    def low_rank_tree(cur_rows, cur_cols):
-        groups = classes(fd, sum(1 << x for x in cur_rows),
-                         sum(1 << y for y in cur_cols))[0]
-        if len(groups) > 16:
-            raise InvariantError("low-rank base case with > 16 row classes")
-
-        def value_leaf(rep):
-            ones = frozenset(y for y in cur_cols if fd.f_value(rep, y))
-            if not ones:
-                return Leaf(0)
-            if len(ones) == len(cur_cols):
-                return Leaf(1)
-            return Node(BOB, ones, Leaf(0), Leaf(1))
-
-        return _halve(groups, 0, len(groups), value_leaf)
-
     def rec(cur_rows, cur_cols, rk=None, cap=None):
         # The tree of the block cur_rows x cur_cols of rank rk, ranked
         # here when the parent does not know it, and the most rank and
@@ -241,7 +227,11 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
         cells = sub.cells
         if rk < 5:
             steps.append(BuildStep("low_rank", sub.rows, sub.cols, rk))
-            return low_rank_tree(cur_rows, cur_cols), 0, 0
+            groups = classes(fd, sum(1 << x for x in cur_rows),
+                             sum(1 << y for y in cur_cols))[0]
+            if len(groups) > 16:
+                raise InvariantError("low-rank base case with > 16 row classes")
+            return _class_tree(fd, groups, cur_cols), 0, 0
 
         rect = find_big_rectangle(sub, n, strategy, cap)
         side, side_rank = choose_split(sub, rect, rk)
@@ -292,15 +282,24 @@ def build_protocol(f: BoolFun, n: int, strategy: str = DIRECT_MAX,
     return tree, trace
 
 
-def _halve(groups, lo, hi, value_leaf):
-    """Alice halves the row classes groups[lo:hi] until one is left,
-    whose row value_leaf answers."""
-    if hi - lo == 1:
-        return value_leaf(groups[lo][0])
-    mid = (lo + hi) // 2
-    first = frozenset(x for mem in groups[lo:mid] for x in mem)
-    return Node(ALICE, first, _halve(groups, mid, hi, value_leaf),
-                _halve(groups, lo, mid, value_leaf))
+def _class_tree(fd, groups, cols):
+    """The base case's tree on a block of fd of rank < 5, given as its
+    row classes ``groups``, at most 2**4 = 16, and its columns ``cols``.
+    Alice says if her row is in the first half of the classes until one
+    is left; its row, if constant, is a leaf, else Bob says if his
+    column is where it is 1.  Hence at most 16 x 2 = 32 leaves, the
+    BASE_LEAF_FACTOR of ``leaf_budget``."""
+    if len(groups) > 1:
+        mid = len(groups) // 2
+        first = frozenset(x for mem in groups[:mid] for x in mem)
+        return Node(ALICE, first, _class_tree(fd, groups[mid:], cols),
+                    _class_tree(fd, groups[:mid], cols))
+    ones = frozenset(y for y in cols if fd.f_value(groups[0][0], y))
+    if not ones:
+        return Leaf(0)
+    if len(ones) == len(cols):
+        return Leaf(1)
+    return Node(BOB, ones, Leaf(0), Leaf(1))
 
 
 def _expand(node, row_classes, col_classes):

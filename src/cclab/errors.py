@@ -1,5 +1,20 @@
-"""Shared exception types for cclab, and the one rule by which its
-hand-written readers read a number."""
+"""Shared exception types for cclab, the one rule by which its
+hand-written readers read a number, and the one rule by which its API
+takes an integer."""
+
+from operator import index
+
+
+def as_int(v, what: str) -> int:
+    """v as an int, by ``operator.index``, so numpy integers pass; a
+    bool, a float or a string is ValueError "{what} must be an
+    integer"."""
+    if not isinstance(v, bool):
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 def parse_count(tok: str, signed: bool = False) -> int:

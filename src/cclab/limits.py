@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import parse_count
+from .errors import as_int, parse_count
 
 
 EXACT = "exact"
@@ -56,9 +56,10 @@ class SearchLimits:
     rect_budget: int = 200_000
 
     def __post_init__(self):
-        if self.node_budget <= 0 or self.rect_budget <= 0:
-            raise ValueError("limits must be positive")
-        if self.time_budget_ms is not None and self.time_budget_ms <= 0:
+        budgets = [self.node_budget, self.rect_budget]
+        if self.time_budget_ms is not None:
+            budgets.append(self.time_budget_ms)
+        if min(as_int(b, "limit") for b in budgets) <= 0:
             raise ValueError("limits must be positive")
 
     @classmethod

@@ -20,11 +20,9 @@ one mask-to-indices decoder.
 
 from __future__ import annotations
 
-from operator import index
-
 import numpy as np
 
-from .errors import CapacityError, ParseError, parse_count
+from .errors import CapacityError, ParseError, as_int, parse_count
 
 # Desk-scale guard: matrices (lifted ones included) are capped at 2**24
 # cells so that exhaustive verification stays feasible.
@@ -186,6 +184,7 @@ def make_family(name: str, m: int, seed: int | None = None,
     name = name.lower()
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
+    m = as_int(m, "m")
     if m < 1:
         raise ValueError("m must be >= 1")
     check_cap("matrix would have", m * m)  # before anything is built
@@ -215,6 +214,7 @@ def make_family(name: str, m: int, seed: int | None = None,
 def check_lift(f: BoolFun, n: int) -> None:
     """Raise unless the lift f^(+n) has an order n >= 1 and is within
     the desk-scale cap."""
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("n must be >= 1")
     # Past order 24 every base larger than 1x1 is over the cap; up to
@@ -281,19 +281,10 @@ def distinct_col_count(f: BoolFun) -> int:
     return len(classes(f)[1])
 
 
-def _as_index(v) -> int:
-    try:
-        if not isinstance(v, bool):
-            return index(v)
-    except TypeError:
-        pass
-    raise ValueError(f"index must be an integer, got {v!r}")
-
-
 def sorted_indices(values) -> tuple:
-    """The distinct indices in ``values``, ascending.  Each must be an
-    integer (numpy integers too) and not a bool: else ValueError."""
-    return tuple(sorted(set(map(_as_index, values))))
+    """The distinct indices in ``values``, ascending, each read by
+    ``errors.as_int``."""
+    return tuple(sorted({as_int(v, "index") for v in values}))
 
 
 def restrict(f: BoolFun, row_subset, col_subset) -> BoolFun:

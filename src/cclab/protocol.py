@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StructureError
+from .errors import StructureError, as_int
 from .limits import (EXACT, INTERVAL, BudgetExceeded, Meter, SearchLimits,
                      SearchResult)
 from .matrix import (BoolFun, check_cap, classes, exact_rank, index_bits,
@@ -56,12 +56,17 @@ class Node:
 
 class ProtocolTree:
     """Immutable, validated protocol tree over a rows x cols input
-    space, within the desk-scale cap (CapacityError past it, before any
-    index set is built)."""
+    space, rows and cols read by ``errors.as_int`` (StructureError if
+    not integers), within the desk-scale cap (CapacityError past it,
+    before any index set is built)."""
 
     __slots__ = ("root", "n_rows", "n_cols", "leaf_count", "depth")
 
     def __init__(self, root, n_rows: int, n_cols: int):
+        try:
+            n_rows, n_cols = as_int(n_rows, "rows"), as_int(n_cols, "cols")
+        except ValueError as e:
+            raise StructureError(str(e)) from None
         if n_rows < 1 or n_cols < 1:
             raise StructureError("input space must be non-empty")
         check_cap("protocol input space has", n_rows * n_cols)
@@ -113,6 +118,7 @@ def _check(node, rx, ry):
 
 def evaluate(t: ProtocolTree, x: int, y: int):
     """Run the protocol on (x, y): returns (output bit, bit transcript)."""
+    x, y = as_int(x, "x"), as_int(y, "y")
     if not (0 <= x < t.n_rows and 0 <= y < t.n_cols):
         raise ValueError("input out of range")
     node = t.root

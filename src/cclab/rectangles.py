@@ -62,7 +62,7 @@ from operator import or_
 
 import numpy as np
 
-from .errors import InvariantError, ParseError, parse_count
+from .errors import InvariantError, ParseError, as_int, parse_count
 from .limits import (BOUNDS, EXACT, INCONCLUSIVE, BudgetExceeded, Meter,
                      SearchLimits, SearchResult)
 from .matrix import BoolFun, index_bits, row_bits, sorted_indices
@@ -213,7 +213,7 @@ def enumerate_maximal_mono(
     """All maximal monochromatic rectangles, in lexicographic order of
     (row_set, col_set).  If more than ``budget`` exist, the first
     ``budget`` found are returned with the truncated flag set."""
-    if budget < 1:
+    if as_int(budget, "budget") < 1:
         raise ValueError("budget must be positive")
     found, truncated = _maximal_masks(f, budget)
     rects = [Rectangle(rows, cols, color=color)
@@ -460,8 +460,8 @@ def cover_number(f: BoolFun, mode: str = EXACT,
         extra = _closed_rows(row_cols, cells & ~held, width)
         done = False
         if search:  # the enumeration is complete: held is all the cells
-            chosen, done = _exact_color_cover(held, cell_masks, sides, width,
-                                              chosen, floor, meter)
+            chosen, done = _exact_color_cover(sides, width, chosen, floor,
+                                              meter)
             exact = exact and done
         cover += [Rectangle(rows, cols, color=color)
                   for rows, cols, _ in map(sides.__getitem__, chosen)]
@@ -503,15 +503,14 @@ def _undominated(covs) -> list:
     return kept
 
 
-def _exact_color_cover(universe, cell_masks, sides, width, incumbent,
-                       floor, meter):
-    """Branch-and-bound set cover of one color class by the rectangles
-    with the cell masks ``cell_masks``, cell (x, y) at bit x * width +
-    y, and the rows and columns ``sides[i] = (rows, cols, _)`` as index
-    tuples.
+def _exact_color_cover(sides, width, incumbent, floor, meter):
+    """Branch-and-bound set cover of one color class, the cells its
+    rectangles hold, by those rectangles, given by their rows and
+    columns ``sides[i] = (rows, cols, _)`` as index tuples; cell (x, y)
+    is x * width + y.
 
     ``floor`` lower-bounds every cover's size, and is at least 1 when
-    ``universe`` has cells: the search returns at the root when the
+    the color has cells: the search returns at the root when the
     incumbent is no larger, and stops as soon as it finds a cover of
     that size.
 
@@ -553,7 +552,7 @@ def _exact_color_cover(universe, cell_masks, sides, width, incumbent,
     path reaches again is searched again, pruned by the bounds alone.
 
     Returns (selection, completed): the best selection found (always a
-    valid cover of ``universe``, as indices into cell_masks) and whether
+    valid cover of the color, as indices into sides) and whether
     minimality was proved within the meter's budget.
     """
     best_sel = list(incumbent)
@@ -568,18 +567,20 @@ def _exact_color_cover(universe, cell_masks, sides, width, incumbent,
     # Rectangles by descending size, ties by index: the order of each
     # cell's candidates, which breaks _undominated's ties, and of the
     # bound's scan.
-    by_size = sorted(range(len(cell_masks)),
-                     key=lambda i: (-cell_masks[i].bit_count(), i))
-    holders = {cell: [] for cell in index_bits(universe)}
+    by_size = sorted(range(len(sides)),
+                     key=lambda i: (-len(sides[i][0]) * len(sides[i][1]), i))
+    last_row = max(rows[-1] for rows, _, _ in sides)
+    holders = [[] for _ in range((last_row + 1) * width)]  # by cell
     for i in by_size:
         rows, cols, _ = sides[i]
         for x in rows:
             for y in cols:
                 holders[x * width + y].append(i)
-    # Bit b of masks is the cell whose candidates are cand_by_cell[b];
-    # sorted is stable, so ties keep the index order.
-    cand_by_cell = sorted(holders.values(), key=len)
-    masks = [0] * len(cell_masks)
+    # Bit b of masks is the cell whose candidates are cand_by_cell[b]:
+    # the held cells, fewest candidates first; sorted is stable, so ties
+    # keep the ascending cell order.
+    cand_by_cell = sorted(filter(None, holders), key=len)
+    masks = [0] * len(sides)
     for bit, cands in enumerate(cand_by_cell):
         for i in cands:
             masks[i] |= 1 << bit
@@ -699,14 +700,6 @@ def parse_rect(text: str) -> Rectangle:
     if len(lines) > 3:
         raise ParseError("unexpected extra content", lines[3][0], 1)
     return Rectangle(*sides, color=color)
-
-
-def format_rect(r: Rectangle) -> str:
-    out = [" ".join(str(i) for i in r.row_set),
-           " ".join(str(i) for i in r.col_set)]
-    if r.color is not None:
-        out.append("+1" if r.color == 1 else "-1")
-    return "\n".join(out) + "\n"
 
 
 def read_rect(path) -> Rectangle:

@@ -176,10 +176,25 @@ MUTANTS = (
      "tests/test_builder.py::"
      "test_build_raises_on_a_cell_count_above_its_rank"),
     ("low_rank_classes_unraised", "src/cclab/builder.py",
-     '            raise InvariantError("low-rank base case with > 16 row '
-     'classes")\n', "            pass\n", CAUGHT,
+     '                raise InvariantError("low-rank base case with > 16 '
+     'row classes")\n', "                pass\n", CAUGHT,
      "tests/test_builder.py::"
      "test_build_raises_on_a_low_rank_base_with_17_row_classes"),
+    ("base_case_first_half_up", "src/cclab/builder.py",
+     "mid = len(groups) // 2", "mid = (len(groups) + 1) // 2", CAUGHT,
+     "tests/test_cli.py::test_construction_outputs_pinned"),
+    ("base_case_all_ones_bob", "src/cclab/builder.py",
+     "    if len(ones) == len(cols):\n        return Leaf(1)\n", "", CAUGHT,
+     "tests/test_builder.py::test_build_constant_single_leaf"),
+    ("base_case_halves_swapped", "src/cclab/builder.py",
+     "Node(ALICE, first, _class_tree(fd, groups[mid:], cols),\n"
+     "                    _class_tree(fd, groups[:mid], cols))",
+     "Node(ALICE, first, _class_tree(fd, groups[:mid], cols),\n"
+     "                    _class_tree(fd, groups[mid:], cols))", CAUGHT,
+     "tests/test_builder.py::test_build_eq4_low_rank_base"),
+    ("base_case_bob_leaves_swapped", "src/cclab/builder.py",
+     "Node(BOB, ones, Leaf(0), Leaf(1))", "Node(BOB, ones, Leaf(1), Leaf(0))",
+     CAUGHT, "tests/test_builder.py::test_build_eq4_low_rank_base"),
     ("extract_mono_unraised", "src/cclab/entropy.py",
      '        raise InvariantError("extracted support is not monochromatic '
      'in the base")\n', "        pass\n", CAUGHT,
@@ -189,7 +204,7 @@ MUTANTS = (
      '        raise StructureError(f"not a tree node: {node!r}")\n',
      "        pass\n", CAUGHT,
      "tests/test_protocol.py::test_structure_non_node_is_structure_error"),
-    ("index_bool_taken", "src/cclab/matrix.py",
+    ("index_bool_taken", "src/cclab/errors.py",
      "if not isinstance(v, bool):", "if True:", CAUGHT,
      "tests/test_matrix.py::"
      "test_restrict_refuses_an_index_that_is_not_an_integer"),
@@ -233,8 +248,9 @@ MUTANTS = (
      "holders[x * width + y].append(i)", "holders[y * width + x].append(i)",
      CAUGHT, "tests/test_rectangles.py::test_cover_results_pinned"),
     ("cover_branch_cells_crowded_first", "src/cclab/rectangles.py",
-     "cand_by_cell = sorted(holders.values(), key=len)",
-     "cand_by_cell = sorted(holders.values(), key=len, reverse=True)", CAUGHT,
+     "cand_by_cell = sorted(filter(None, holders), key=len)",
+     "cand_by_cell = sorted(filter(None, holders), key=len, reverse=True)",
+     CAUGHT,
      "tests/test_rectangles.py::test_cover_search_ends_in_few_nodes"),
     ("cover_branch_highest_bit", "src/cclab/rectangles.py",
      "cell = (uncovered & -uncovered).bit_length() - 1",

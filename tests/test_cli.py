@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from cclab.cli import _render, main
-from cclab import Rectangle, SearchLimits, format_bfn, verify
-from cclab.rectangles import format_rect
+from cclab import SearchLimits, format_bfn, verify
 
 from oracles import random_sign
 
@@ -211,7 +210,7 @@ def test_extract_identity_n1(tmp_path, capsys):
     src = tmp_path / "eq3.bfn"
     run(["gen", "--family", "eq", "--m", "3", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    rect.write_text(format_rect(Rectangle((0, 1), (2,))))
+    rect.write_text("0 1\n2\n")
     code = run(["extract", "--in", str(src), "--n", "1", "--rect", str(rect)])
     out = capsys.readouterr().out
     assert code == 0
@@ -223,7 +222,7 @@ def test_extract_guarantee_line_k6_n2(tmp_path, capsys):
     run(["gen", "--family", "const", "--m", "8", "--value", "0",
          "--out", str(src)])
     rect = tmp_path / "r.rect"
-    rect.write_text(format_rect(Rectangle(range(8), range(8))))
+    rect.write_text("0 1 2 3 4 5 6 7\n0 1 2 3 4 5 6 7\n")
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect)])
     out = capsys.readouterr().out
     assert code == 0
@@ -234,7 +233,7 @@ def test_extract_eq2_n2_json(tmp_path, capsys):
     src = tmp_path / "eq2.bfn"
     run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    rect.write_text(format_rect(Rectangle((0, 3), (0, 3))))
+    rect.write_text("0 3\n0 3\n")
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect),
                 "--format", "json"])
     assert code == 0
@@ -246,7 +245,7 @@ def test_extract_rejects_non_monochromatic(tmp_path, capsys):
     src = tmp_path / "eq2.bfn"
     run(["gen", "--family", "eq", "--m", "2", "--out", str(src)])
     rect = tmp_path / "r.rect"
-    rect.write_text(format_rect(Rectangle((0, 1), (0, 1))))
+    rect.write_text("0 1\n0 1\n")
     code = run(["extract", "--in", str(src), "--n", "2", "--rect", str(rect)])
     assert code == 1
     assert "cell (" in capsys.readouterr().err
@@ -767,7 +766,7 @@ def test_flag_the_command_does_not_read_is_user_error(argv, tmp_path, capsys):
              "RECT": tmp_path / "r.rect"}
     run(["gen", "--family", "eq", "--m", "2", "--out", str(paths["BFN"])])
     run(["build", "--in", str(paths["BFN"]), "--out", str(paths["PROTO"])])
-    paths["RECT"].write_text(format_rect(Rectangle((0, 3), (0, 3))))
+    paths["RECT"].write_text("0 3\n0 3\n")
     capsys.readouterr()
     out = tmp_path / "out"
     argv = [str(paths.get(a, a)) for a in argv] + ["--out", str(out)]

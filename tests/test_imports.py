@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, and every
-private name the package defines is read in it.  The package re-exports
-its API from ``__init__.py``, so the import check leaves that file
-out."""
+module-level name the package defines is read in it or, if public,
+re-exported as its API from ``__init__.py``, which the import check
+leaves out."""
 
 import ast
 import pathlib
@@ -12,6 +12,11 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cclab"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
 SOURCES = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+# The names __init__.py re-exports.
+EXPORTED = {a.asname or a.name
+            for node in ast.parse((PACKAGE / "__init__.py").read_text(
+                encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom) for a in node.names}
 
 
 def _unused_imports(source: str) -> list:
@@ -40,11 +45,12 @@ def test_module_uses_every_import(module):
     assert _unused_imports(source) == []
 
 
-def _unread_private_names(sources) -> list:
-    """The module-level private names (``_name`` functions, classes and
-    constants) defined in ``sources`` that none of them reads, as a name
-    or an attribute, outside the name's own definition: a helper that
-    only calls itself is unread."""
+def _unread_names(sources, exported) -> list:
+    """The module-level names (functions, classes and constants, but no
+    ``__dunder__`` names) defined in ``sources`` that none of them reads,
+    as a name or an attribute, outside the name's own definition, and
+    that are private or not in ``exported``: a helper that only calls
+    itself is unread."""
     defined, read = set(), set()
     for source in sources:
         for top in ast.parse(source).body:
@@ -56,8 +62,8 @@ def _unread_private_names(sources) -> list:
                          if isinstance(n, ast.Name)}
             elif isinstance(top, ast.AnnAssign):
                 names = {top.target.id}
-            defined |= {n for n in names
-                        if n.startswith("_") and not n.startswith("__")}
+            defined |= {n for n in names if not n.startswith("__")
+                        and (n.startswith("_") or n not in exported)}
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx,
                                                              ast.Load):
@@ -76,8 +82,16 @@ def test_unread_private_names_are_found():
                "def _f(n):\n    return _f(n - 1) + _A\n"
                "class _C:\n    pass\n",
                "import m\ndef _g():\n    return m._C\n"]
-    assert _unread_private_names(sources) == ["_B", "_f", "_g"]
+    assert _unread_names(sources, set()) == ["_B", "_f", "_g"]
 
 
-def test_every_private_name_is_read():
-    assert _unread_private_names(SOURCES) == []
+def test_unread_public_names_are_found():
+    # A public name counts as read when __init__.py re-exports it, as
+    # f here, or a module reads it, as f reads g.
+    sources = ["K = 1\ndef f():\n    return g()\ndef g():\n    pass\n"
+               "class C:\n    pass\n"]
+    assert _unread_names(sources, {"f"}) == ["C", "K"]
+
+
+def test_every_name_is_read_or_exported():
+    assert _unread_names(SOURCES, EXPORTED) == []

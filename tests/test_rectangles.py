@@ -18,7 +18,7 @@ from cclab.limits import INTERVAL, BudgetExceeded, Meter
 from cclab.matrix import index_bits
 from cclab.rectangles import (EXACT, BOUNDS, INCONCLUSIVE, _closed_rows,
                               _fooling_cells, _greedy_cover, _undominated,
-                              format_rect, parse_rect)
+                              parse_rect)
 
 from oracles import (all_sign_matrices, brute_max_area, brute_maximal_rects,
                      brute_min_cover, random_sign)
@@ -542,17 +542,20 @@ def test_cover_budget_cut_at_a_floor_size_cover_is_exact():
         BOUNDS, 13, 14, 7)
 
 
-def _full_scan_color_cover(universe, cell_masks, sides, width, incumbent,
-                           floor, meter):
+def _full_scan_color_cover(sides, width, incumbent, floor, meter):
     """The color's cover search with no narrowing, no memo and no
     renumbering: every node tests the coverage bound on the whole
     size-sorted list of the rectangles, walks the cells in branching
     order to its first uncovered one and sorts its children itself.  It
-    stops once it holds a cover of ``floor`` rectangles."""
+    stops once it holds a cover of ``floor`` rectangles.  It reads the
+    rectangles as cell masks, cell (x, y) at bit x * width + y."""
     best_sel = list(incumbent)
     best_size = len(incumbent)
     if floor >= best_size:
         return best_sel, True
+    cell_masks = [sum(1 << x * width + y for x in rows for y in cols)
+                  for rows, cols, _ in sides]
+    universe = reduce(or_, cell_masks)
     by_size = sorted(range(len(cell_masks)),
                      key=lambda i: (-cell_masks[i].bit_count(), i))
     sized = [(cell_masks[i].bit_count(), cell_masks[i]) for i in by_size]
@@ -620,11 +623,11 @@ def test_cover_bound_stages_decide_alike(head, monkeypatch):
     narrowing = rectangles._exact_color_cover
     taken = set()
 
-    def mixed(universe, cell_masks, *args):
-        search = (_full_scan_color_cover if len(cell_masks) <= head
+    def mixed(sides, *args):
+        search = (_full_scan_color_cover if len(sides) <= head
                   else narrowing)
         taken.add(search)
-        return search(universe, cell_masks, *args)
+        return search(sides, *args)
 
     monkeypatch.setattr(rectangles, "_exact_color_cover", mixed)
     assert [cover_number(f, limits=lim) for f, lim in cases] == got
@@ -885,7 +888,7 @@ def test_validate_cover_matches_the_grid_reference():
 
 
 def test_cover_raises_on_a_search_that_returns_a_non_cover(monkeypatch):
-    def short(universe, cell_masks, sides, width, incumbent, floor, meter):
+    def short(sides, width, incumbent, floor, meter):
         return incumbent[:-1], True  # eq4's greedy covers are minimal
 
     monkeypatch.setattr(rectangles, "_exact_color_cover", short)
@@ -983,10 +986,8 @@ def test_d_at_least_log_cover():
 # ----------------------------------------------------------- file formats
 
 def test_rect_round_trip():
-    r = Rectangle((0, 2), (1,), color=-1)
-    assert parse_rect(format_rect(r)) == r
-    r2 = Rectangle((1,), (0, 3))
-    assert parse_rect(format_rect(r2)) == r2
+    assert parse_rect("0 2\n1\n-1\n") == Rectangle((0, 2), (1,), color=-1)
+    assert parse_rect("1\n0 3\n") == Rectangle((1,), (0, 3))
 
 
 def test_parse_rect_errors():
